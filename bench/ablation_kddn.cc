@@ -25,8 +25,9 @@ double TrainAndScore(models::NeuralDocumentModel* model,
   core::Trainer trainer(options);
   trainer.Train(model, dataset.train(), dataset.validation(),
                 synth::Horizon::kWithin30Days);
-  return core::Trainer::EvaluateAuc(model, dataset.test(),
-                                    synth::Horizon::kWithin30Days);
+  return core::Trainer::EvaluateSplit(model, dataset.test(),
+                                      synth::Horizon::kWithin30Days)
+      .auc;
 }
 
 models::ModelConfig BaseConfig(const data::MortalityDataset& dataset) {
@@ -145,8 +146,10 @@ int main() {
     core::Trainer trainer(options);
     trainer.Train(&drop_negated, filtered.train(), filtered.validation(),
                   synth::Horizon::kWithin30Days);
-    const double drop_auc = core::Trainer::EvaluateAuc(
-        &drop_negated, filtered.test(), synth::Horizon::kWithin30Days);
+    const double drop_auc =
+        core::Trainer::EvaluateSplit(&drop_negated, filtered.test(),
+                                     synth::Horizon::kWithin30Days)
+            .auc;
     std::printf("  Concept CNN, negated concepts kept (MetaMap/paper): %.3f\n",
                 keep_auc);
     std::printf("  Concept CNN, negated concepts dropped (NegEx-lite): %.3f  "

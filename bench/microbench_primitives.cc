@@ -14,20 +14,9 @@
 // percentiles and the concept-cache hit rate on a repeated-note workload.
 //
 // Run with --train_json[=path] to emit BENCH_train.json: single-thread
-// BK-DDN epoch wall-clock at a >= 20k-row word vocabulary in four modes —
-// naive GEMM + dense embedding gradients (the pre-optimisation cost
-// profile), the scalar lane-faithful GEMM reference + dense, the
-// runtime-dispatched SIMD GEMM + dense, and SIMD + row-sparse — and asserts
-// that the three canonical-order runs (scalar/simd/sparse) produce bitwise-
-// identical weights (the same invariant tests/perf_test.cc enforces). The
-// naive row is wall-clock-only: the canonical A*B^T accumulation order is
-// the lane-split reduction, which the pre-SIMD naive loops predate
-// (DESIGN.md §9).
-//
-// Run with --pipeline_json[=path] to emit BENCH_pipeline.json: build + train
-// + per-epoch eval wall-clock of a validation-heavy workload under the PR-4
-// baseline vs the overlapped input pipeline and fused gradient-free eval
-// (DESIGN.md §10), asserting bitwise-identical weights and curves.
+// BK-DDN epoch wall-clock and in-situ GEMM wall-clock under the scalar
+// lane-faithful GEMM reference and under the runtime-dispatched SIMD GEMM,
+// asserting that both train bitwise-identical weights (DESIGN.md §9).
 //
 // Run with --trace_json[=path] to emit BENCH_trace.json: the observability
 // invariants (DESIGN.md §12) — per-span overhead with tracing disabled (the
@@ -38,9 +27,8 @@
 //
 // Run with --jobs_json[=path] to emit BENCH_jobs.json: the job-graph
 // executor's overlap speedup over the fork/join barrier schedule on a
-// staged pipeline at pool size 2 (plus steady-state jobs/sec across reused
-// generations), and the bitwise weight/curve identity of job-graph vs
-// legacy training (DESIGN.md §14). Gated by scripts/check_bench.py.
+// staged pipeline at pool size 2, plus steady-state jobs/sec across reused
+// generations (DESIGN.md §14). Gated by scripts/check_bench.py.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -410,29 +398,21 @@ int RunServeBench(const std::string& out_path) {
   return bitwise ? 0 : 1;
 }
 
-/// One row of the training bench: a GEMM kernel choice plus a gradient mode.
+/// One row of the training bench: a GEMM kernel choice.
 struct TrainMode {
   const char* name;
   GemmKernel kernel;
-  bool sparse;
 };
 
-/// Emits BENCH_train.json: the tentpole acceptance artifact. Trains the same
-/// BK-DDN (same seeds, same data, one thread) under four kernel/gradient
-/// modes, reports epoch wall-clock, in-situ GEMM wall-clock (the
-/// `blocked_gemm_speedup` / `simd_vs_scalar_speedup` ratios compare time
-/// actually spent inside DispatchGemm on the identical workload — the
-/// epoch-level ratios are diluted by the dense table passes that the sparse
-/// mode exists to remove), and the before/after speedups, and fails
-/// (exit 1) unless the three canonical-order runs (scalar lane-faithful,
-/// SIMD dense, SIMD sparse) produce bitwise-identical weights — including
-/// `simd_vs_scalar_bitwise_identical`, the cross-kernel flag
-/// scripts/check_bench.py hard-gates. The naive row is the pre-optimisation
-/// wall-clock baseline only (its A*B^T order predates the lane-split
-/// contract). The word vocabulary is padded to >= 20k rows so the dense
-/// modes pay the pre-PR per-step cost of merging, re-zeroing, and
-/// Adagrad-stepping the whole table while a batch only touches a few
-/// hundred rows of it.
+/// Emits BENCH_train.json. Trains the same BK-DDN (same seeds, same data,
+/// one thread) under the scalar lane-faithful GEMM reference and under the
+/// dispatched SIMD GEMM, reports epoch wall-clock and in-situ GEMM
+/// wall-clock (`simd_vs_scalar_speedup` compares the time actually spent
+/// inside DispatchGemm on the identical workload, undiluted by the non-GEMM
+/// epoch cost), and fails (exit 1) unless the two runs produce
+/// bitwise-identical weights (`simd_vs_scalar_bitwise_identical`, which
+/// scripts/check_bench.py hard-gates). The word vocabulary is padded to a
+/// MIMIC-scale 150k rows.
 int RunTrainBench(const std::string& out_path) {
   auto kb = kb::KnowledgeBase::BuildDefault();
   kb::ConceptExtractor extractor(&kb);
@@ -448,9 +428,8 @@ int RunTrainBench(const std::string& out_path) {
 
   // Paper-scale widths; the word table is padded to a MIMIC-scale open
   // vocabulary (clinical corpora run to low-hundreds-of-thousands of types;
-  // the synthetic generator's is far smaller). This exercises the dense
-  // modes' real per-step cost: merging, re-zeroing, and Adagrad-stepping
-  // every row of a table a batch touches a few hundred rows of.
+  // the synthetic generator's is far smaller), of which a batch touches a
+  // few hundred rows.
   constexpr int kVocabFloor = 150000;
   models::ModelConfig model_config;
   model_config.word_vocab_size =
@@ -466,28 +445,20 @@ int RunTrainBench(const std::string& out_path) {
   train_options.num_threads = 1;
   train_options.seed = 7;
 
-  // Row 0 is the wall-clock "before" baseline only: the naive kernel's
-  // A*B^T accumulation predates the lane-split canonical order, so its
-  // weights are NOT expected to match the other rows bitwise. Rows 1..3 all
-  // follow the canonical order and must agree bitwise with each other.
   const TrainMode modes[] = {
-      {"naive_dense", GemmKernel::kNaive, false},  // Pre-PR cost profile.
-      {"scalar_dense", GemmKernel::kScalar, false},
-      {"simd_dense", GemmKernel::kAuto, false},
-      {"simd_sparse", GemmKernel::kAuto, true},
+      {"scalar", GemmKernel::kScalar},
+      {"simd", GemmKernel::kAuto},
   };
-  constexpr int kNumModes = 4;
+  constexpr int kNumModes = 2;
   std::vector<double> seconds;
   std::vector<double> gemm_seconds;
   std::vector<std::vector<Tensor>> weights(kNumModes);
   for (int i = 0; i < kNumModes; ++i) {
     SetGemmKernel(modes[i].kernel);
-    train_options.sparse_embedding_updates = modes[i].sparse;
-    // In-situ GEMM accounting: the dense epoch is dominated by the O(vocab)
-    // table passes (that is what the sparse mode removes), so an epoch-level
-    // ratio would bury the kernel change. gemm_seconds is the wall-clock the
-    // run actually spent inside DispatchGemm; its cost when enabled is two
-    // clock reads per multi-µs matmul.
+    // In-situ GEMM accounting: an epoch-level ratio would dilute the kernel
+    // change with the non-GEMM epoch cost. gemm_seconds is the wall-clock
+    // the run actually spent inside DispatchGemm; its cost when enabled is
+    // two clock reads per multi-µs matmul.
     ResetGemmTiming();
     SetGemmTimingEnabled(true);
     seconds.push_back(BestSeconds(2, [&] {
@@ -511,25 +482,14 @@ int RunTrainBench(const std::string& out_path) {
   }
   SetGemmKernel(GemmKernel::kAuto);
 
-  // Bitwise agreement across the canonical-order rows, anchored on the
-  // scalar lane-faithful reference (row 1).
-  auto same_weights = [&](int i, int j) {
-    if (weights[i].size() != weights[j].size()) {
-      return false;
-    }
-    for (size_t p = 0; p < weights[i].size(); ++p) {
-      if (!weights[i][p].SameShape(weights[j][p]) ||
-          std::memcmp(weights[i][p].data(), weights[j][p].data(),
-                      weights[j][p].size() * sizeof(float)) != 0) {
-        return false;
-      }
-    }
-    return true;
-  };
-  const bool simd_vs_scalar = same_weights(1, 2);
-  const bool bitwise = simd_vs_scalar && same_weights(1, 3);
+  bool bitwise = weights[0].size() == weights[1].size();
+  for (size_t p = 0; bitwise && p < weights[0].size(); ++p) {
+    bitwise = weights[0][p].SameShape(weights[1][p]) &&
+              std::memcmp(weights[0][p].data(), weights[1][p].data(),
+                          weights[1][p].size() * sizeof(float)) == 0;
+  }
+  const double simd_vs_scalar = gemm_seconds[0] / gemm_seconds[1];
 
-  const double speedup = seconds[0] / seconds[3];
   std::ofstream out(out_path);
   if (!out.is_open()) {
     std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
@@ -537,10 +497,9 @@ int RunTrainBench(const std::string& out_path) {
   }
   out << "{\n";
   WriteHostFields(out);
-  // Per-mode record of the kernel that actually ran: kAuto modes report the
-  // ISA the one-time dispatch resolved to on this host, never the literal
-  // "auto" (simd_isa already carries the host-wide resolution; this maps it
-  // onto the rows whose numbers the artifact gates).
+  // Per-mode record of the kernel that actually ran: the kAuto row reports
+  // the ISA the one-time dispatch resolved to on this host, never the
+  // literal "auto".
   out << "  \"gemm_kernel\": {";
   for (int i = 0; i < kNumModes; ++i) {
     out << "\"" << modes[i].name << "\": \""
@@ -575,250 +534,15 @@ int RunTrainBench(const std::string& out_path) {
         << (i < kNumModes - 1 ? ", " : "");
   }
   out << "},\n";
-  // GEMM-time ratios on the identical dense workload (same shapes, same
-  // call sequence): naive-vs-dispatched and scalar-reference-vs-dispatched.
-  out << "  \"blocked_gemm_speedup\": " << gemm_seconds[0] / gemm_seconds[2]
-      << ",\n";
-  out << "  \"simd_vs_scalar_speedup\": "
-      << gemm_seconds[1] / gemm_seconds[2] << ",\n";
-  out << "  \"sparse_update_speedup\": " << seconds[2] / seconds[3] << ",\n";
-  out << "  \"total_speedup\": " << speedup << ",\n";
-  out << "  \"weights_bitwise_identical\": " << (bitwise ? "true" : "false")
-      << ",\n";
+  // GEMM-time ratio on the identical workload (same shapes, same call
+  // sequence): scalar reference vs dispatched.
+  out << "  \"simd_vs_scalar_speedup\": " << simd_vs_scalar << ",\n";
   out << "  \"simd_vs_scalar_bitwise_identical\": "
-      << (simd_vs_scalar ? "true" : "false") << "\n";
+      << (bitwise ? "true" : "false") << "\n";
   out << "}\n";
-  std::printf("wrote %s (total speedup %.2fx, bitwise=%s, simd==scalar=%s)\n",
-              out_path.c_str(), speedup, bitwise ? "yes" : "NO",
-              simd_vs_scalar ? "yes" : "NO");
+  std::printf("wrote %s (simd vs scalar GEMM %.2fx, bitwise=%s)\n",
+              out_path.c_str(), simd_vs_scalar, bitwise ? "yes" : "NO");
   return bitwise ? 0 : 1;
-}
-
-/// Emits BENCH_pipeline.json: the input-pipeline / evaluation-path
-/// acceptance artifact (DESIGN.md §10). One validation-heavy workload is
-/// built and trained three ways — the PR-4 baseline (inline batch assembly,
-/// MeanLoss + EvaluateAuc double pass), prefetch only, and the full pipeline
-/// (prefetched batches + fused gradient-free eval) — plus a serial-vs-
-/// parallel dataset build and an isolated eval-pass comparison. Fails
-/// (exit 1) unless the three trained weight sets are bitwise identical, the
-/// baseline and pipelined validation curves are bitwise equal, and the
-/// parallel build reproduces the serial build's bytes.
-int RunPipelineBench(const std::string& out_path) {
-  auto kb = kb::KnowledgeBase::BuildDefault();
-  kb::ConceptExtractor extractor(&kb);
-  synth::CohortConfig cohort_config;
-  cohort_config.num_patients = 300;
-  cohort_config.seed = 21;
-  const synth::Cohort cohort = synth::Cohort::Generate(cohort_config, kb);
-
-  // Validation-heavy on purpose: the paper's per-epoch curve costs one
-  // validation sweep per epoch, and this workload makes that sweep a large
-  // share of the epoch so the eval-path change is visible in end-to-end
-  // wall-clock even on a single-core host (where the overlap layers can
-  // only break even).
-  data::DatasetOptions data_options;
-  data_options.max_words = 64;
-  data_options.max_concepts = 32;
-  data_options.test_fraction = 0.2;
-  data_options.validation_fraction = 0.5;
-
-  data_options.parallel_build = false;
-  data::MortalityDataset serial_dataset =
-      data::MortalityDataset::Build(cohort, extractor, data_options);
-  const double serial_build_s = BestSeconds(3, [&] {
-    serial_dataset = data::MortalityDataset::Build(cohort, extractor,
-                                                   data_options);
-  });
-  data_options.parallel_build = true;
-  data::MortalityDataset dataset =
-      data::MortalityDataset::Build(cohort, extractor, data_options);
-  const double parallel_build_s = BestSeconds(3, [&] {
-    dataset = data::MortalityDataset::Build(cohort, extractor, data_options);
-  });
-
-  auto same_split = [](const std::vector<data::Example>& a,
-                       const std::vector<data::Example>& b) {
-    if (a.size() != b.size()) {
-      return false;
-    }
-    for (size_t i = 0; i < a.size(); ++i) {
-      if (a[i].patient_id != b[i].patient_id ||
-          a[i].word_ids != b[i].word_ids ||
-          a[i].concept_ids != b[i].concept_ids || a[i].labels != b[i].labels) {
-        return false;
-      }
-    }
-    return true;
-  };
-  const bool build_identical =
-      same_split(dataset.train(), serial_dataset.train()) &&
-      same_split(dataset.validation(), serial_dataset.validation()) &&
-      same_split(dataset.test(), serial_dataset.test()) &&
-      dataset.excluded_zero_concept() == serial_dataset.excluded_zero_concept();
-  std::printf("build serial=%.3fs parallel=%.3fs identical=%s\n",
-              serial_build_s, parallel_build_s, build_identical ? "yes" : "NO");
-
-  models::ModelConfig model_config;
-  model_config.word_vocab_size = dataset.word_vocab().size();
-  model_config.concept_vocab_size = dataset.concept_vocab().size();
-  model_config.embedding_dim = 20;
-  model_config.num_filters = 50;
-  model_config.seed = 5;
-
-  core::TrainOptions base_options;
-  base_options.epochs = 3;
-  base_options.batch_size = 16;
-  base_options.num_threads = 1;
-  base_options.seed = 7;
-
-  struct PipelineMode {
-    const char* name;
-    bool prefetch;
-    bool fused_eval;
-  };
-  const PipelineMode modes[] = {
-      {"baseline_two_pass", false, false},  // PR-4 epoch cost profile.
-      {"prefetch_only", true, false},
-      {"pipelined_fused", true, true},
-  };
-  const synth::Horizon horizon = synth::Horizon::kInHospital;
-  std::vector<double> train_s;
-  std::vector<std::vector<Tensor>> weights(3);
-  std::vector<std::vector<eval::CurvePoint>> curves(3);
-  for (int i = 0; i < 3; ++i) {
-    core::TrainOptions options = base_options;
-    options.prefetch = modes[i].prefetch;
-    options.fused_eval = modes[i].fused_eval;
-    train_s.push_back(BestSeconds(2, [&] {
-      models::BkDdn model(model_config);
-      core::Trainer trainer(options);
-      const eval::CurveRecorder recorder = trainer.Train(
-          &model, dataset.train(), dataset.validation(), horizon);
-      weights[i].clear();  // Reps are deterministic; keep the last copy.
-      for (const ag::NodePtr& param : model.params().all()) {
-        weights[i].push_back(param->value());
-      }
-      curves[i] = recorder.points();
-    }));
-    std::printf("%-18s %d epochs = %.3fs\n", modes[i].name,
-                base_options.epochs, train_s.back());
-  }
-
-  bool weights_identical = true;
-  for (int i = 1; i < 3; ++i) {
-    weights_identical =
-        weights_identical && weights[i].size() == weights[0].size();
-    for (size_t p = 0; weights_identical && p < weights[0].size(); ++p) {
-      weights_identical =
-          weights[i][p].SameShape(weights[0][p]) &&
-          std::memcmp(weights[i][p].data(), weights[0][p].data(),
-                      weights[0][p].size() * sizeof(float)) == 0;
-    }
-  }
-  bool curves_equal = true;
-  for (int i = 1; i < 3; ++i) {
-    curves_equal = curves_equal && curves[i].size() == curves[0].size();
-    for (size_t p = 0; curves_equal && p < curves[0].size(); ++p) {
-      curves_equal = curves[i][p].epoch == curves[0][p].epoch &&
-                     curves[i][p].train_loss == curves[0][p].train_loss &&
-                     curves[i][p].validation_loss ==
-                         curves[0][p].validation_loss &&
-                     curves[i][p].validation_auc == curves[0][p].validation_auc;
-    }
-  }
-
-  // Isolated eval pass on a trained model: the historical double pass (two
-  // tape-building graph sweeps — MeanLoss then score+AUC) against one fused
-  // gradient-free sweep.
-  models::BkDdn eval_model(model_config);
-  core::Trainer(base_options)
-      .Train(&eval_model, dataset.train(), dataset.validation(), horizon);
-  const std::vector<data::Example>& validation = dataset.validation();
-  const std::vector<int> validation_labels =
-      core::Trainer::Labels(validation, horizon);
-  double two_pass_loss = 0.0, two_pass_auc = 0.0;
-  const double two_pass_s = BestSeconds(3, [&] {
-    double total = 0.0;
-    nn::ForwardContext ctx;
-    ctx.training = false;
-    for (size_t i = 0; i < validation.size(); ++i) {
-      total += ag::ScalarValue(ag::SoftmaxCrossEntropy(
-          eval_model.Logits(validation[i], ctx), validation_labels[i]));
-    }
-    two_pass_loss = total / static_cast<double>(validation.size());
-    std::vector<float> scores(validation.size());
-    for (size_t i = 0; i < validation.size(); ++i) {
-      scores[i] = eval_model.PredictPositiveProbability(validation[i]);
-    }
-    two_pass_auc = eval::RocAuc(scores, validation_labels);
-  });
-  core::Trainer::EvalMetrics fused_metrics;
-  const double fused_s = BestSeconds(3, [&] {
-    fused_metrics = core::Trainer::EvaluateSplit(&eval_model, validation,
-                                                 horizon);
-  });
-  const bool eval_identical = fused_metrics.mean_loss == two_pass_loss &&
-                              fused_metrics.auc == two_pass_auc;
-  std::printf("eval two_pass=%.4fs fused=%.4fs (%.2fx) identical=%s\n",
-              two_pass_s, fused_s, two_pass_s / fused_s,
-              eval_identical ? "yes" : "NO");
-
-  // Build + train + per-epoch eval, before vs after this PR's three layers.
-  const double baseline_total = serial_build_s + train_s[0];
-  const double pipelined_total = parallel_build_s + train_s[2];
-  const double end_to_end = baseline_total / pipelined_total;
-  const bool all_identical =
-      build_identical && weights_identical && curves_equal && eval_identical;
-
-  std::ofstream out(out_path);
-  if (!out.is_open()) {
-    std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
-    return 1;
-  }
-  out << "{\n";
-  WriteHostFields(out);
-  out << "  \"config\": {\"num_patients\": " << cohort_config.num_patients
-      << ", \"train_examples\": " << dataset.train().size()
-      << ", \"validation_examples\": " << dataset.validation().size()
-      << ", \"max_words\": " << data_options.max_words
-      << ", \"max_concepts\": " << data_options.max_concepts
-      << ", \"validation_fraction\": " << data_options.validation_fraction
-      << ", \"embedding_dim\": " << model_config.embedding_dim
-      << ", \"num_filters\": " << model_config.num_filters
-      << ", \"batch_size\": " << base_options.batch_size
-      << ", \"epochs\": " << base_options.epochs
-      << ", \"num_threads\": " << base_options.num_threads << "},\n";
-  out << "  \"dataset_build_seconds\": {\"serial\": " << serial_build_s
-      << ", \"parallel\": " << parallel_build_s << "},\n";
-  out << "  \"dataset_build_speedup\": " << serial_build_s / parallel_build_s
-      << ",\n";
-  out << "  \"dataset_bytes_identical\": "
-      << (build_identical ? "true" : "false") << ",\n";
-  out << "  \"train_seconds\": {";
-  for (int i = 0; i < 3; ++i) {
-    out << "\"" << modes[i].name << "\": " << train_s[i]
-        << (i < 2 ? ", " : "");
-  }
-  out << "},\n";
-  out << "  \"prefetch_gain\": " << train_s[0] / train_s[1] << ",\n";
-  out << "  \"fused_eval_gain\": " << train_s[1] / train_s[2] << ",\n";
-  out << "  \"eval_pass_seconds\": {\"two_pass_graph\": " << two_pass_s
-      << ", \"fused_nograd\": " << fused_s << "},\n";
-  out << "  \"eval_pass_speedup\": " << two_pass_s / fused_s << ",\n";
-  out << "  \"eval_metrics_identical\": "
-      << (eval_identical ? "true" : "false") << ",\n";
-  out << "  \"end_to_end_seconds\": {\"baseline\": " << baseline_total
-      << ", \"pipelined\": " << pipelined_total << "},\n";
-  out << "  \"end_to_end_speedup\": " << end_to_end << ",\n";
-  out << "  \"weights_bitwise_identical\": "
-      << (weights_identical ? "true" : "false") << ",\n";
-  out << "  \"curves_bitwise_equal\": " << (curves_equal ? "true" : "false")
-      << "\n";
-  out << "}\n";
-  std::printf("wrote %s (end-to-end %.2fx, weights bitwise=%s, curves=%s)\n",
-              out_path.c_str(), end_to_end, weights_identical ? "yes" : "NO",
-              curves_equal ? "yes" : "NO");
-  return all_identical ? 0 : 1;
 }
 
 /// Emits BENCH_trace.json: the observability invariants of DESIGN.md §12.
@@ -979,26 +703,18 @@ uint64_t JobsBenchMix(uint64_t z) {
   return z ^ (z >> 31);
 }
 
-/// Emits BENCH_jobs.json: the job-graph executor's headline numbers
-/// (DESIGN.md §14). Two measurements share the artifact:
-///
-///  * `overlap_speedup` — a staged pipeline (kStages dependent stages over
-///    kChains independent chains, unbalanced per-job durations) run two
-///    ways at pool size 2: the fork/join barrier way (one ParallelFor per
-///    stage, so every stage waits for the slowest job of the previous one)
-///    and as one reused job graph whose only edges are along each chain, so
-///    stage s of a fast chain overlaps stage s-1 of a slow one and the
-///    whole iteration costs one pool round-trip instead of kStages. The
-///    gain comes from removed synchronisation, so it holds even on a
-///    single-core host. `graph_matches_barrier_output` asserts both
-///    schedules produce identical bytes; `steady_state_jobs_per_sec` is the
-///    graph path's sustained rate across reused generations.
-///  * `weights_bitwise_identical` / `curves_bitwise_equal` — a BK-DDN
-///    training run on the job-graph path (assembly overlap on) against the
-///    legacy fork/join path, compared weight-by-weight and point-by-point.
-///    The determinism contract as a recorded artifact, gated by
-///    scripts/check_bench.py; `train_overlap_gain` is informational (on a
-///    single-core host it hovers near 1.0).
+/// Emits BENCH_jobs.json: the job-graph executor's headline number
+/// (DESIGN.md §14). `overlap_speedup` is a staged pipeline (kStages
+/// dependent stages over kChains independent chains, unbalanced per-job
+/// durations) run two ways at pool size 2: the fork/join barrier way (one
+/// ParallelFor per stage, so every stage waits for the slowest job of the
+/// previous one) and as one reused job graph whose only edges are along each
+/// chain, so stage s of a fast chain overlaps stage s-1 of a slow one and
+/// the whole iteration costs one pool round-trip instead of kStages. The
+/// gain comes from removed synchronisation, so it holds even on a
+/// single-core host. `graph_matches_barrier_output` asserts both schedules
+/// produce identical bytes; `steady_state_jobs_per_sec` is the graph path's
+/// sustained rate across reused generations.
 int RunJobsBench(const std::string& out_path) {
   // --- Overlap microbench: barrier vs graph at pool size 2 ----------------
   SetGlobalThreadPoolSize(2);
@@ -1073,79 +789,6 @@ int RunJobsBench(const std::string& out_path) {
               barrier_s, graph_s, overlap_speedup, jobs_per_sec,
               outputs_identical ? "yes" : "NO");
 
-  // --- Training determinism: job-graph path vs legacy fork/join -----------
-  auto kb = kb::KnowledgeBase::BuildDefault();
-  kb::ConceptExtractor extractor(&kb);
-  synth::CohortConfig cohort_config;
-  cohort_config.num_patients = 200;
-  cohort_config.seed = 33;
-  const synth::Cohort cohort = synth::Cohort::Generate(cohort_config, kb);
-  data::DatasetOptions data_options;
-  data_options.max_words = 64;
-  data_options.max_concepts = 32;
-  const data::MortalityDataset dataset =
-      data::MortalityDataset::Build(cohort, extractor, data_options);
-
-  models::ModelConfig model_config;
-  model_config.word_vocab_size = dataset.word_vocab().size();
-  model_config.concept_vocab_size = dataset.concept_vocab().size();
-  model_config.embedding_dim = 20;
-  model_config.num_filters = 50;
-  model_config.seed = 5;
-
-  core::TrainOptions base_options;
-  base_options.epochs = 3;
-  base_options.batch_size = 16;
-  base_options.num_threads = 2;
-  base_options.seed = 7;
-  const synth::Horizon horizon = synth::Horizon::kInHospital;
-
-  struct JobsMode {
-    const char* name;
-    bool use_job_graph;
-  };
-  const JobsMode modes[] = {
-      {"legacy_fork_join", false},
-      {"job_graph", true},
-  };
-  std::vector<double> train_s;
-  std::vector<std::vector<Tensor>> weights(2);
-  std::vector<std::vector<eval::CurvePoint>> curves(2);
-  for (int i = 0; i < 2; ++i) {
-    core::TrainOptions options = base_options;
-    options.use_job_graph = modes[i].use_job_graph;
-    train_s.push_back(BestSeconds(2, [&] {
-      models::BkDdn model(model_config);
-      core::Trainer trainer(options);
-      const eval::CurveRecorder recorder = trainer.Train(
-          &model, dataset.train(), dataset.validation(), horizon);
-      weights[i].clear();  // Reps are deterministic; keep the last copy.
-      for (const ag::NodePtr& param : model.params().all()) {
-        weights[i].push_back(param->value());
-      }
-      curves[i] = recorder.points();
-    }));
-    std::printf("%-18s %d epochs = %.3fs\n", modes[i].name,
-                base_options.epochs, train_s.back());
-  }
-  bool weights_identical = weights[1].size() == weights[0].size();
-  for (size_t p = 0; weights_identical && p < weights[0].size(); ++p) {
-    weights_identical =
-        weights[1][p].SameShape(weights[0][p]) &&
-        std::memcmp(weights[1][p].data(), weights[0][p].data(),
-                    weights[0][p].size() * sizeof(float)) == 0;
-  }
-  bool curves_equal = curves[1].size() == curves[0].size();
-  for (size_t p = 0; curves_equal && p < curves[0].size(); ++p) {
-    curves_equal = curves[1][p].epoch == curves[0][p].epoch &&
-                   curves[1][p].train_loss == curves[0][p].train_loss &&
-                   curves[1][p].validation_loss ==
-                       curves[0][p].validation_loss &&
-                   curves[1][p].validation_auc == curves[0][p].validation_auc;
-  }
-
-  const bool all_identical =
-      outputs_identical && weights_identical && curves_equal;
   std::ofstream out(out_path);
   if (!out.is_open()) {
     std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
@@ -1155,33 +798,17 @@ int RunJobsBench(const std::string& out_path) {
   WriteHostFields(out);
   out << "  \"config\": {\"stages\": " << kStages
       << ", \"chains\": " << kChains << ", \"iterations\": " << kIterations
-      << ", \"pool_threads\": 2, \"num_patients\": "
-      << cohort_config.num_patients
-      << ", \"batch_size\": " << base_options.batch_size
-      << ", \"epochs\": " << base_options.epochs
-      << ", \"train_num_threads\": " << base_options.num_threads << "},\n";
+      << ", \"pool_threads\": 2},\n";
   out << "  \"overlap_seconds\": {\"barrier\": " << barrier_s
       << ", \"graph\": " << graph_s << "},\n";
   out << "  \"overlap_speedup\": " << overlap_speedup << ",\n";
   out << "  \"steady_state_jobs_per_sec\": " << jobs_per_sec << ",\n";
   out << "  \"graph_matches_barrier_output\": "
-      << (outputs_identical ? "true" : "false") << ",\n";
-  out << "  \"train_seconds\": {";
-  for (int i = 0; i < 2; ++i) {
-    out << "\"" << modes[i].name << "\": " << train_s[i]
-        << (i < 1 ? ", " : "");
-  }
-  out << "},\n";
-  out << "  \"train_overlap_gain\": " << train_s[0] / train_s[1] << ",\n";
-  out << "  \"weights_bitwise_identical\": "
-      << (weights_identical ? "true" : "false") << ",\n";
-  out << "  \"curves_bitwise_equal\": " << (curves_equal ? "true" : "false")
-      << "\n";
+      << (outputs_identical ? "true" : "false") << "\n";
   out << "}\n";
-  std::printf("wrote %s (overlap %.2fx, weights bitwise=%s, curves=%s)\n",
-              out_path.c_str(), overlap_speedup,
-              weights_identical ? "yes" : "NO", curves_equal ? "yes" : "NO");
-  return all_identical ? 0 : 1;
+  std::printf("wrote %s (overlap %.2fx, identical=%s)\n", out_path.c_str(),
+              overlap_speedup, outputs_identical ? "yes" : "NO");
+  return outputs_identical ? 0 : 1;
 }
 
 }  // namespace
@@ -1203,11 +830,6 @@ int main(int argc, char** argv) {
       const char* eq = std::strchr(argv[i], '=');
       return kddn::RunTrainBench(eq != nullptr ? eq + 1
                                                : "BENCH_train.json");
-    }
-    if (std::strncmp(argv[i], "--pipeline_json", 15) == 0) {
-      const char* eq = std::strchr(argv[i], '=');
-      return kddn::RunPipelineBench(eq != nullptr ? eq + 1
-                                                  : "BENCH_pipeline.json");
     }
     if (std::strncmp(argv[i], "--trace_json", 12) == 0) {
       const char* eq = std::strchr(argv[i], '=');

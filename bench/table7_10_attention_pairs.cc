@@ -58,8 +58,9 @@ int main() {
   trainer.Train(&model, setup.dataset.train(), setup.dataset.validation(),
                 synth::Horizon::kInHospital);
   std::printf("test AUC (in-hospital): %.3f\n\n",
-              core::Trainer::EvaluateAuc(&model, setup.dataset.test(),
-                                         synth::Horizon::kInHospital));
+              core::Trainer::EvaluateSplit(&model, setup.dataset.test(),
+                                           synth::Horizon::kInHospital)
+                  .auc);
 
   const data::Example* positive = core::SelectCase(
       &model, setup.dataset.test(), synth::Horizon::kInHospital, true);

@@ -61,9 +61,11 @@ int main() {
   for (const data::Example& patient : dataset.test()) {
     risks.push_back(engine.ScoreAsync(patient));
   }
+  std::vector<float> scores;
   std::vector<Ranked> queue;
   for (size_t i = 0; i < risks.size(); ++i) {
-    queue.push_back({&dataset.test()[i], risks[i].get().score});
+    scores.push_back(risks[i].get().score);
+    queue.push_back({&dataset.test()[i], scores.back()});
   }
   std::sort(queue.begin(), queue.end(),
             [](const Ranked& a, const Ranked& b) { return a.risk > b.risk; });
@@ -78,10 +80,11 @@ int main() {
                     : "survived");
   }
 
-  const double auc = core::Trainer::EvaluateAuc(
-      &model, dataset.test(), synth::Horizon::kInHospital);
+  const double auc = core::Trainer::EvaluateSplit(
+                         &model, dataset.test(), synth::Horizon::kInHospital)
+                         .auc;
   const auto pr = eval::PrecisionRecallAt(
-      core::Trainer::Scores(&model, dataset.test()),
+      scores,
       core::Trainer::Labels(dataset.test(), synth::Horizon::kInHospital),
       0.5f);
   std::printf("\nranking quality: AUC %.3f, precision %.2f, recall %.2f\n",

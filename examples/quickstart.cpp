@@ -51,8 +51,9 @@ int main() {
                 synth::Horizon::kWithin30Days);
 
   // 5. Evaluate with the paper's metric.
-  const double auc = core::Trainer::EvaluateAuc(
-      &model, dataset.test(), synth::Horizon::kWithin30Days);
+  const double auc = core::Trainer::EvaluateSplit(
+                         &model, dataset.test(), synth::Horizon::kWithin30Days)
+                         .auc;
   std::printf("\ntest AUC (30-day mortality): %.3f\n", auc);
 
   // 6. Score an individual patient.

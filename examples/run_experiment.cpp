@@ -160,7 +160,7 @@ int main(int argc, char** argv) {
   }
 
   const double auc =
-      core::Trainer::EvaluateAuc(model.get(), dataset.test(), horizon);
+      core::Trainer::EvaluateSplit(model.get(), dataset.test(), horizon).auc;
   std::printf("%s test AUC (t<=%d): %.3f\n", model_name.c_str(), horizon_days,
               auc);
 

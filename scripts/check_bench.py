@@ -5,26 +5,30 @@ Re-recording a bench on a slower host changes every absolute wall-clock
 number, so this guard checks only the properties every host must uphold:
 
 * correctness flags that the deterministic kernels promise unconditionally
-  (bitwise-identical weights, bitwise-equal curves, byte-identical builds,
-  bitwise serving scores) must be true;
-* headline speedups that compare a before/after on the *same* host
-  (BENCH_train.json total_speedup and blocked_gemm_speedup,
-  BENCH_pipeline.json end_to_end_speedup, BENCH_jobs.json
-  overlap_speedup) must not drop below 1.0 — the optimised path must never
-  lose to the baseline it replaced;
-* the SIMD GEMM contract (DESIGN.md §9): the dispatched kernel must train
-  bitwise-identically to the scalar lane-faithful reference
-  (simd_vs_scalar_bitwise_identical) and the artifact must record which
-  kernel actually ran each mode (gemm_kernel, dispatch resolved — never the
-  literal "auto") plus the host-wide ISA resolution (simd_isa);
+  must be true: BENCH_train.json simd_vs_scalar_bitwise_identical,
+  BENCH_serve.json bitwise_match, BENCH_http.json scores_bitwise_equal,
+  BENCH_jobs.json graph_matches_barrier_output, BENCH_trace.json
+  frozen_forward_alloc_free, and the BENCH_swap.json swap flags;
+* the SIMD GEMM contract (DESIGN.md §9): BENCH_train.json must record
+  which kernel actually ran each mode (gemm_kernel, dispatch resolved —
+  never the literal "auto") and the host-wide ISA resolution (simd_isa),
+  and where that ISA is not "scalar" the SIMD kernel must not lose to the
+  scalar reference it is measured against on the same host
+  (simd_vs_scalar_speedup >= 1.0);
+* BENCH_jobs.json overlap_speedup >= 1.0: the job graph must never lose
+  to the fork/join barrier schedule it is measured against on the same
+  host;
+* HTTP and swap invariants: ordered latency percentiles, a bounded shed
+  rate, zero failed requests during a swap, a bounded tail inflation, and
+  at least one injected fault;
 * observability invariants (BENCH_trace.json): disabled-tracing span
-  overhead stays within a relaxed-atomic-load budget, the warm frozen
-  forward performs zero tensor allocations, and every instrumented stage
-  recorded at least one span.
+  overhead stays within a relaxed-atomic-load budget, and every
+  instrumented stage recorded at least one span.
 
-Component ratios (prefetch overlap, dataset-build scaling, thread scaling)
-are deliberately not gated: on a single-core host (single_core_host: true)
-they legitimately hover at 1.0x or below.
+Thread-scaling ratios (BENCH_parallel.json) are deliberately not gated: on
+a single-core host (single_core_host: true) they legitimately hover at 1.0x
+or below. Speed from one commit to the next is measured by the repo
+benchmark (BENCHMARK.json), not here.
 
 Run directly (`python3 scripts/check_bench.py --repo-root .`) or via ctest,
 where it is registered under the `perf` label.
@@ -69,36 +73,25 @@ def check_artifact(errors, path, checker):
 
 
 def check_train(errors, name, data):
-    require_flag(errors, name, data, "weights_bitwise_identical")
     require_flag(errors, name, data, "simd_vs_scalar_bitwise_identical")
-    require_speedup(errors, name, data, "total_speedup")
-    # Hard gate: the dispatched GEMM must beat the naive baseline on the
-    # recording host (single thread). Note the naive baseline keeps its
-    # data-dependent zero skip, so this ratio is workload- and noise-
-    # sensitive: re-record BENCH_train.json only on a quiet host and commit
-    # it with clear margin over 1.0 (the checked-in artifact clears ~1.6x).
-    # In a clean recording, < 1.0 means the SIMD path genuinely regressed.
-    require_speedup(errors, name, data, "blocked_gemm_speedup")
     # gemm_kernel maps each bench mode to the kernel that actually ran it —
-    # the dispatch resolution ("avx2"/"sse2"/"neon"/"scalar"/"naive"), never
-    # the literal "auto". simd_isa records the host-wide resolution.
+    # the dispatch resolution ("avx2"/"sse2"/"neon"/"scalar"), never the
+    # literal "auto". simd_isa records the host-wide resolution.
     kernels = data.get("gemm_kernel")
     if (not isinstance(kernels, dict) or not kernels
             or not all(isinstance(v, str) and v and v != "auto"
                        for v in kernels.values())):
         fail(errors, name, "gemm_kernel must map each bench mode to a "
              "non-empty resolved kernel name (never 'auto')")
-    if not isinstance(data.get("simd_isa"), str) or not data.get("simd_isa"):
+    isa = data.get("simd_isa")
+    if not isinstance(isa, str) or not isa:
         fail(errors, name, "missing non-empty string field 'simd_isa'")
-
-
-def check_pipeline(errors, name, data):
-    require_flag(errors, name, data, "weights_bitwise_identical")
-    require_flag(errors, name, data, "curves_bitwise_equal")
-    require_flag(errors, name, data, "dataset_bytes_identical")
-    require_flag(errors, name, data, "eval_metrics_identical")
-    require_speedup(errors, name, data, "end_to_end_speedup")
-    require_speedup(errors, name, data, "eval_pass_speedup")
+    elif isa != "scalar":
+        # GEMM time of the dispatched kernel against the scalar reference on
+        # the identical single-thread workload. On a host without a SIMD ISA
+        # both rows run the scalar kernel and the ratio is noise around 1.0,
+        # so it is gated only where a SIMD kernel actually ran.
+        require_speedup(errors, name, data, "simd_vs_scalar_speedup")
 
 
 def check_serve(errors, name, data):
@@ -163,18 +156,14 @@ def check_trace(errors, name, data):
 
 
 def check_jobs(errors, name, data):
-    # The job-graph executor's contract (DESIGN.md §14) on every host:
-    # determinism is a property of the graph, so job-graph training must be
-    # bitwise-identical to the legacy fork/join path, and the graph schedule
-    # of the staged pipeline must produce the barrier schedule's exact
-    # bytes. The overlap headline compares the two schedules on the same
-    # host at pool size 2 — the graph removes per-stage barriers, so it must
-    # never lose to the schedule it replaced (that holds even on a
-    # single-core host, where the gain is the removed synchronisation).
-    # train_overlap_gain is informational and not gated: with one core the
-    # trainer's assembly overlap can only break even.
-    require_flag(errors, name, data, "weights_bitwise_identical")
-    require_flag(errors, name, data, "curves_bitwise_equal")
+    # The job-graph executor's contract (DESIGN.md §14) on every host: the
+    # graph schedule of the staged pipeline must produce the barrier
+    # schedule's exact bytes, and the overlap headline compares the two
+    # schedules on the same host at pool size 2 — the graph removes
+    # per-stage barriers, so it must never lose to the barrier schedule
+    # (that holds even on a single-core host, where the gain is the removed
+    # synchronisation). Training determinism is pinned by the goldens in
+    # tests/pipeline_test.cc, not here.
     require_flag(errors, name, data, "graph_matches_barrier_output")
     require_speedup(errors, name, data, "overlap_speedup")
     rate = data.get("steady_state_jobs_per_sec")
@@ -232,8 +221,6 @@ def main():
 
     errors = []
     check_artifact(errors, args.repo_root / "BENCH_train.json", check_train)
-    check_artifact(errors, args.repo_root / "BENCH_pipeline.json",
-                   check_pipeline)
     check_artifact(errors, args.repo_root / "BENCH_serve.json", check_serve)
     check_artifact(errors, args.repo_root / "BENCH_http.json", check_http)
     check_artifact(errors, args.repo_root / "BENCH_trace.json", check_trace)

@@ -1,6 +1,5 @@
 #include "autograd/node.h"
 
-#include <atomic>
 #include <unordered_set>
 
 #include "common/check.h"
@@ -12,8 +11,6 @@ namespace {
 thread_local GradSink* t_grad_sink = nullptr;
 thread_local bool t_inference_mode = false;
 
-std::atomic<bool> g_sparse_gradients{true};
-
 }  // namespace
 
 InferenceModeScope::InferenceModeScope() : previous_(t_inference_mode) {
@@ -23,14 +20,6 @@ InferenceModeScope::InferenceModeScope() : previous_(t_inference_mode) {
 InferenceModeScope::~InferenceModeScope() { t_inference_mode = previous_; }
 
 bool InferenceModeEnabled() { return t_inference_mode; }
-
-void SetSparseGradients(bool enabled) {
-  g_sparse_gradients.store(enabled, std::memory_order_relaxed);
-}
-
-bool SparseGradientsEnabled() {
-  return g_sparse_gradients.load(std::memory_order_relaxed);
-}
 
 void SparseRows::MarkRows(const std::vector<int>& ids, int num_rows) {
   if (state_ == State::kDense) {
@@ -244,7 +233,7 @@ Tensor& Node::mutable_grad() {
 }
 
 Tensor& Node::RowSparseGrad(const std::vector<int>& ids) {
-  if (!Tracked() || !SparseGradientsEnabled()) {
+  if (!Tracked()) {
     return mutable_grad();
   }
   if (GradSink* sink = t_grad_sink; sink != nullptr && sink->Redirects(this)) {

@@ -42,14 +42,6 @@ class InferenceModeScope {
 /// True while an InferenceModeScope is active on the calling thread.
 bool InferenceModeEnabled();
 
-/// Process-wide switch for row-sparse gradient tracking (default on). When
-/// off, Node::RowSparseGrad degrades to mutable_grad() (dense marking), so
-/// merges and optimizer steps take their dense paths — this is how the
-/// training microbench reproduces the pre-sparse cost profile. Results are
-/// bitwise identical either way; only the amount of work changes.
-void SetSparseGradients(bool enabled);
-bool SparseGradientsEnabled();
-
 /// Records which rows of a rank-2 gradient have been written since the last
 /// Clear(), so merges and optimizer steps can visit only touched rows. An
 /// embedding table sees a few dozen distinct rows per batch out of tens of
@@ -130,8 +122,7 @@ class Node {
 
   /// Gradient access for writers that touch only rows `ids` of a rank-2
   /// tracked leaf (embedding scatter). Marks those rows instead of going
-  /// dense; falls back to mutable_grad() for untracked nodes or when sparse
-  /// gradients are globally disabled.
+  /// dense; falls back to mutable_grad() for untracked nodes.
   Tensor& RowSparseGrad(const std::vector<int>& ids);
 
   /// Row tracker for this node's real gradient (not any sink buffer).

@@ -48,14 +48,16 @@ class JobExecutor {
   /// Runs `graph` (which must be finalized) to completion. See class comment.
   void Run(JobGraph* graph);
 
-  /// Work-stealing counterpart of ThreadPool::ParallelForBlocked for
-  /// flat fan-outs that need no edges (GEMM row blocks): [0, count) is cut
-  /// into contiguous blocks of at least `min_block` iterations — up to four
-  /// blocks per pool thread, since stealing (unlike fork/join) profits from
-  /// slicing finer than the thread count — which are seeded round-robin
-  /// across per-lane deques and stolen like graph jobs. fn(begin, end) calls
-  /// must write disjoint outputs; blocks run in unspecified order. Inlines
-  /// (ascending block order) on a 1-thread pool or when nested in a worker.
+  /// Work-stealing block fan-out for flat loops that need no edges (GEMM
+  /// row blocks, evaluation splits): [0, count) is cut into contiguous
+  /// blocks of at least `min_block` iterations — up to four blocks per pool
+  /// thread, since stealing (unlike fork/join) profits from slicing finer
+  /// than the thread count — which are seeded round-robin across per-lane
+  /// deques and stolen like graph jobs. Every lane, the calling thread's
+  /// included, is marked a pool worker, so parallel regions nested in fn run
+  /// inline. fn(begin, end) calls must write disjoint outputs; blocks run in
+  /// unspecified order. A count <= 0 makes no call. Inlines (ascending block
+  /// order) on a 1-thread pool or when nested in a worker.
   void ParallelForBlocked(int64_t count, int64_t min_block,
                           const std::function<void(int64_t, int64_t)>& fn);
 

@@ -44,14 +44,6 @@ class ThreadPool {
   /// calling thread after remaining iterations are cancelled.
   void ParallelFor(int64_t count, const std::function<void(int64_t)>& fn);
 
-  /// Block-ranged variant: partitions [0, count) into contiguous ranges of at
-  /// least `min_block` iterations and runs fn(begin, end) per range. Block
-  /// boundaries depend only on (count, min_block, num_threads()) — not on
-  /// scheduling — but see ParallelFor for the determinism contract.
-  void ParallelForBlocked(
-      int64_t count, int64_t min_block,
-      const std::function<void(int64_t, int64_t)>& fn);
-
   /// True while the calling thread is one of *any* pool's workers. Used to
   /// run nested parallel regions inline.
   static bool InWorker();

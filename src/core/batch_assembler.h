@@ -35,13 +35,10 @@ struct PreparedBatch {
 
 /// Pure, synchronous mini-batch assembly for core::Trainer (DESIGN.md §14).
 ///
-/// This is the assembly half of the retired BatchPrefetcher, with the
-/// bespoke double-buffer worker thread deleted: overlap now comes from the
-/// job graph, where the trainer schedules "assemble batch k+1" as a root job
-/// next to batch k's gradient chunks and the executor pipelines them. The
-/// assembly arithmetic (slice, MixDropoutSeed, labels, chunk layout) is
-/// byte-for-byte the prefetcher's, so trained weights stay bitwise-identical
-/// across the migration.
+/// Overlap comes from the job graph, where the trainer schedules "assemble
+/// batch k+1" as a root job next to batch k's gradient chunks and the
+/// executor pipelines them. A batch is a pure function of (split, order,
+/// seed, index), so when it is assembled cannot change a trained bit.
 class BatchAssembler {
  public:
   struct Options {

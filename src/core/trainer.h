@@ -32,13 +32,6 @@ struct TrainOptions {
   /// order depends only on this value, never on the thread count. Smaller
   /// chunks expose more parallelism; larger ones use less buffer memory.
   int grad_chunk_size = 8;
-  /// Row-sparse embedding-gradient handling (ag::SetSparseGradients): merge,
-  /// re-zero, and optimizer-step work for embedding tables is proportional
-  /// to the rows a batch actually touched instead of the vocabulary size.
-  /// The trained weights are bitwise identical either way (a zero-gradient
-  /// row is an exact no-op under Adagrad — see DESIGN.md §9); `false` exists
-  /// so benchmarks can reproduce the dense cost profile.
-  bool sparse_embedding_updates = true;
   /// Crash safety: when non-empty, the trainer atomically writes
   /// CheckpointPath(checkpoint_dir) — model weights plus trainer state
   /// (epoch, seed, Adagrad accumulators, best-validation snapshot, curve) —
@@ -54,36 +47,6 @@ struct TrainOptions {
   /// this at 1 and 4 threads). Requires the same TrainOptions::seed and an
   /// epoch horizon >= the checkpoint's completed epochs.
   bool resume = false;
-  /// Schedule each training step as a reusable job graph (DESIGN.md §14):
-  /// the per-batch gradient chunks, the ordered gradient merge, the Adagrad
-  /// step, and the assembly of batch k+1 become nodes of one
-  /// jobs::JobGraph built once per Train call and re-run every step by a
-  /// work-stealing jobs::JobExecutor — batch k+1's featurisation overlaps
-  /// batch k's merge and optimizer step with no barrier between them.
-  /// Determinism is a property of the graph, not the schedule: chunk jobs
-  /// write disjoint GradSinks, the merge job sums them in chunk order, and
-  /// batch contents are a pure function of (split, order, seed, index), so
-  /// the trained weights are bitwise identical to the legacy fork-join path
-  /// at any thread count and under any steal interleaving (enforced by
-  /// `ctest -L jobs`). `false` keeps the legacy ParallelFor reference path.
-  bool use_job_graph = true;
-  /// Compatibility alias from the retired BatchPrefetcher era, now routed to
-  /// the graph path: `true` keeps "assemble batch k+1" a root job that
-  /// overlaps batch k's chunks/merge/step; `false` assembles each batch
-  /// inline before its step (no overlap — the reference schedule). On the
-  /// legacy path (use_job_graph = false) assembly is always inline. Trained
-  /// weights are bitwise identical in every combination.
-  bool prefetch = true;
-  /// Fuse the per-epoch validation pass (DESIGN.md §10): one gradient-free
-  /// forward per example yields both the validation loss and the AUC score,
-  /// replacing the historical MeanLoss + EvaluateAuc double pass. BK-DDN and
-  /// AK-DDN additionally run through a refreshed serve::FrozenModel snapshot
-  /// (no graph allocation at all); other models run their graph forward
-  /// under ag::InferenceModeScope. Both routes reduce the same logits
-  /// through ag::SoftmaxProbs, so the recorded curves are bitwise equal to
-  /// the two-pass path — `false` keeps the double pass for the equality
-  /// tests and benchmarks.
-  bool fused_eval = true;
 };
 
 /// The checkpoint file a Trainer reads and writes inside `checkpoint_dir`.
@@ -95,11 +58,18 @@ std::string CheckpointPath(const std::string& checkpoint_dir);
 ///
 /// Training is data-parallel within each mini-batch: the batch is cut into
 /// fixed-size chunks (TrainOptions::grad_chunk_size) that workers process
-/// into per-chunk ag::GradSink buffers, which the coordinating thread then
-/// merges in chunk order. Dropout noise is drawn from a per-example Rng
-/// derived from (seed, epoch, position), so neither the gradients nor the
-/// random stream depend on scheduling — the trained parameters are bitwise
-/// identical at any thread count.
+/// into per-chunk ag::GradSink buffers, which one merge job then sums in
+/// chunk order. Dropout noise is drawn from a per-example Rng derived from
+/// (seed, epoch, position), so neither the gradients nor the random stream
+/// depend on scheduling — the trained parameters are bitwise identical at
+/// any thread count (pinned by the goldens in tests/pipeline_test.cc,
+/// DESIGN.md §15).
+///
+/// Each step runs as a reusable job graph (DESIGN.md §14): the gradient
+/// chunks, the ordered merge, the Adagrad step, and the assembly of batch
+/// k+1 are nodes of one jobs::JobGraph built once per Train call and re-run
+/// every step by a work-stealing jobs::JobExecutor, so batch k+1's
+/// featurisation overlaps batch k's merge and optimizer step.
 ///
 /// With TrainOptions::checkpoint_dir set, training is also crash-safe:
 /// checkpoints are written atomically at epoch boundaries, and
@@ -116,43 +86,24 @@ class Trainer {
                             const std::vector<data::Example>& validation,
                             synth::Horizon horizon);
 
-  /// Positive-class probabilities over a split (inference mode). Examples
-  /// are scored in parallel on the global pool into disjoint slots, so the
-  /// result is identical at any thread count.
-  static std::vector<float> Scores(models::NeuralDocumentModel* model,
-                                   const std::vector<data::Example>& split);
-
-  /// Scores on an explicit pool (used internally during training).
-  static std::vector<float> Scores(models::NeuralDocumentModel* model,
-                                   const std::vector<data::Example>& split,
-                                   ThreadPool* pool);
-
   /// 0/1 labels of a split for a horizon.
   static std::vector<int> Labels(const std::vector<data::Example>& split,
                                  synth::Horizon horizon);
 
-  /// Test AUC of a trained model; returns 0.5 if the split has one class.
-  static double EvaluateAuc(models::NeuralDocumentModel* model,
-                            const std::vector<data::Example>& split,
-                            synth::Horizon horizon);
-
-  /// EvaluateAuc on an explicit pool (used internally during training).
-  static double EvaluateAuc(models::NeuralDocumentModel* model,
-                            const std::vector<data::Example>& split,
-                            synth::Horizon horizon, ThreadPool* pool);
-
-  /// Both split-level validation metrics from one fused pass.
+  /// Both split-level metrics from one gradient-free pass.
   struct EvalMetrics {
     double mean_loss = 0.0;  // Mean cross-entropy (0.0 on an empty split).
     double auc = 0.5;        // ROC AUC (0.5 when empty or one-class).
   };
 
-  /// Fused gradient-free evaluation (DESIGN.md §10): one forward per example
+  /// Gradient-free evaluation (DESIGN.md §10): one forward per example
   /// produces the softmax probabilities once, yielding the cross-entropy
-  /// loss and the ranking score together. Bitwise-equal to the two-pass
-  /// MeanLoss + EvaluateAuc route at any thread count (enforced by
-  /// tests/pipeline_test.cc); see TrainOptions::fused_eval for the frozen
-  /// vs. inference-mode dispatch.
+  /// loss and the ranking score together. BK-DDN and AK-DDN run through a
+  /// refreshed serve::FrozenModel snapshot (no graph allocation at all);
+  /// other models run their graph forward under ag::InferenceModeScope.
+  /// Examples are scored in blocks on the executor into disjoint slots and
+  /// losses summed in example order, so the result is identical at any
+  /// thread count.
   static EvalMetrics EvaluateSplit(models::NeuralDocumentModel* model,
                                    const std::vector<data::Example>& split,
                                    synth::Horizon horizon);

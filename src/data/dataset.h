@@ -34,14 +34,6 @@ struct DatasetOptions {
   /// Concept-extraction knobs (semantic-type filter, NegEx-lite negation
   /// handling); defaults reproduce the paper's MetaMap pipeline.
   kb::ExtractionOptions extraction;
-  /// Fan the per-patient preprocessing (tokenize → lemmatize → stopword
-  /// filter → concept extraction) out over the shared GlobalThreadPool.
-  /// Workers write disjoint per-patient slots and a single ordered merge
-  /// then replays the serial loop's exact observable sequence (exclusions,
-  /// count vectors, split membership), so the built dataset is byte-identical
-  /// to the serial build at every thread count — `false` is kept as the
-  /// reference implementation and for the equality tests. DESIGN.md §10.
-  bool parallel_build = true;
 };
 
 /// Mean and standard deviation (Table III/IV rows).

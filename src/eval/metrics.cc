@@ -50,7 +50,7 @@ double RocAuc(const std::vector<float>& scores,
   if (positives == 0 || negatives == 0) {
     // One-class input: no (positive, negative) pair exists, so the pairwise
     // definition is vacuous. Return chance level, the same convention
-    // core::Trainer::EvaluateAuc uses for one-class validation splits.
+    // core::Trainer::EvaluateSplit uses for one-class validation splits.
     return 0.5;
   }
   const double u = positive_rank_sum -

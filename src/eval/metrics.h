@@ -12,8 +12,8 @@ namespace kddn::eval {
 /// the fraction where the positive outscores the negative, counting ties as
 /// half (tests/property_test.cc asserts this against the O(n²) form).
 /// Degenerate one-class inputs return 0.5 — the chance value, matching
-/// core::Trainer::EvaluateAuc's convention for one-class splits — because no
-/// ranking is observable without both classes.
+/// core::Trainer::EvaluateSplit's convention for one-class splits — because
+/// no ranking is observable without both classes.
 double RocAuc(const std::vector<float>& scores, const std::vector<int>& labels);
 
 /// Fraction of correct predictions at the given score threshold.

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "common/fnv1a.h"
 #include "common/string_util.h"
 #include "text/tokenizer.h"
 
@@ -187,12 +188,7 @@ std::vector<Mention> ConceptExtractor::Extract(
 }
 
 uint64_t NoteFingerprint(std::string_view raw_text) {
-  uint64_t state = 1469598103934665603ULL;  // FNV-1a 64-bit offset basis.
-  for (unsigned char c : raw_text) {
-    state ^= c;
-    state *= 1099511628211ULL;
-  }
-  return state;
+  return Fnv1a(raw_text.data(), raw_text.size());
 }
 
 std::vector<std::string> ConceptExtractor::CuiSequence(

@@ -82,10 +82,6 @@ class FrozenModel {
   EvalResult EvalExample(const data::Example& example, int label,
                          Workspace* ws) const;
 
-  /// Convenience overload using a thread-local Workspace (the per-thread
-  /// scratch reuse path the engine relies on).
-  float ScorePositive(const data::Example& example) const;
-
   Kind kind() const { return kind_; }
   const char* name() const {
     return kind_ == Kind::kBkDdn ? "BK-DDN" : "AK-DDN";

@@ -262,6 +262,25 @@ void InferenceEngine::WorkerLoop() {
   }
 }
 
+std::unique_ptr<FrozenModel::Workspace> InferenceEngine::AcquireWorkspace() {
+  {
+    std::lock_guard<std::mutex> lock(workspace_mutex_);
+    if (!workspaces_.empty()) {
+      std::unique_ptr<FrozenModel::Workspace> ws =
+          std::move(workspaces_.back());
+      workspaces_.pop_back();
+      return ws;
+    }
+  }
+  return std::make_unique<FrozenModel::Workspace>();
+}
+
+void InferenceEngine::ReleaseWorkspace(
+    std::unique_ptr<FrozenModel::Workspace> ws) {
+  std::lock_guard<std::mutex> lock(workspace_mutex_);
+  workspaces_.push_back(std::move(ws));
+}
+
 void InferenceEngine::ExecuteBatch(
     std::vector<std::unique_ptr<Request>> batch) {
   KDDN_TRACE_SPAN("serve.batch_execute");
@@ -276,16 +295,17 @@ void InferenceEngine::ExecuteBatch(
   // Per-request score -> respond chains (DESIGN.md §14): request i's response
   // resolves the moment its own forward finishes, while later requests are
   // still scoring — the batch pipelines instead of barriering on its slowest
-  // member. Each score job reuses its lane thread's Workspace and writes a
+  // member. Each score job borrows an engine-owned Workspace and writes a
   // disjoint slot, so scores are independent of batch composition and thread
-  // count, exactly as under the old fan-out.
+  // count.
   std::vector<char> responded(n, 0);
   jobs::JobGraph graph;
   for (size_t i = 0; i < n; ++i) {
     const jobs::JobId score = graph.AddJob("serve.job.score", [&, i] {
       KDDN_TRACE_SPAN("serve.score");
-      static thread_local FrozenModel::Workspace ws;
-      scores[i] = model->ScorePositive(batch[i]->example, &ws);
+      std::unique_ptr<FrozenModel::Workspace> ws = AcquireWorkspace();
+      scores[i] = model->ScorePositive(batch[i]->example, ws.get());
+      ReleaseWorkspace(std::move(ws));
     });
     const jobs::JobId respond = graph.AddJob("serve.job.respond", [&, i] {
       stats_.RecordRequestLatencyMs(

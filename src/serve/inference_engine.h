@@ -106,7 +106,7 @@ struct NotePipeline {
 /// any number of client threads queue on an internal worker; the worker
 /// flushes a batch when `max_batch` requests are waiting or the oldest has
 /// aged past `flush_deadline_ms`, and executes the batch as one fan-out on
-/// the process-wide ThreadPool (per-thread Workspaces, disjoint outputs).
+/// the process-wide ThreadPool (engine-owned Workspaces, disjoint outputs).
 ///
 /// Scores are bitwise identical to the single-example autograd path for
 /// every batch composition and thread count — batching changes scheduling,
@@ -228,6 +228,13 @@ class InferenceEngine {
   void WorkerLoop();
   /// Scores one batch on the global pool and fulfils its promises.
   void ExecuteBatch(std::vector<std::unique_ptr<Request>> batch);
+  /// Takes the most recently released Workspace (a new one if none is free)
+  /// / hands one back. Workspaces belong to the engine, not to threads, so a
+  /// workspace warmed by one score job stays warm for the next whichever
+  /// pool thread runs it: warm serving allocates no tensor storage under any
+  /// schedule.
+  std::unique_ptr<FrozenModel::Workspace> AcquireWorkspace();
+  void ReleaseWorkspace(std::unique_ptr<FrozenModel::Workspace> ws);
 
   /// Published-snapshot cell. A mutex (not std::atomic<shared_ptr>) because
   /// it is touched once per batch / swap, never per request.
@@ -243,6 +250,9 @@ class InferenceEngine {
 
   std::mutex cache_mutex_;
   std::unique_ptr<LruCache<uint64_t, std::vector<int>>> concept_cache_;
+
+  std::mutex workspace_mutex_;
+  std::vector<std::unique_ptr<FrozenModel::Workspace>> workspaces_;  // LIFO.
 
   std::mutex queue_mutex_;
   std::condition_variable queue_cv_;

@@ -130,57 +130,6 @@ void GemmNTScalar(const float* a, const float* b, float* c, int m, int k,
   }
 }
 
-void GemmNNNaive(const float* a, const float* b, float* c, int m, int k, int n,
-                 int row_begin, int row_end) {
-  for (int i = row_begin; i < row_end; ++i) {
-    const float* arow = a + static_cast<int64_t>(i) * k;
-    float* crow = c + static_cast<int64_t>(i) * n;
-    for (int kk = 0; kk < k; ++kk) {
-      const float av = arow[kk];
-      if (av == 0.0f) {
-        continue;  // The pre-blocking kernels' zero skip, kept verbatim.
-      }
-      const float* brow = b + static_cast<int64_t>(kk) * n;
-      for (int j = 0; j < n; ++j) {
-        crow[j] += av * brow[j];
-      }
-    }
-  }
-}
-
-void GemmTNNaive(const float* a, const float* b, float* c, int m, int k, int n,
-                 int row_begin, int row_end) {
-  for (int i = row_begin; i < row_end; ++i) {
-    float* crow = c + static_cast<int64_t>(i) * n;
-    for (int kk = 0; kk < k; ++kk) {
-      const float av = a[static_cast<int64_t>(kk) * m + i];
-      if (av == 0.0f) {
-        continue;
-      }
-      const float* brow = b + static_cast<int64_t>(kk) * n;
-      for (int j = 0; j < n; ++j) {
-        crow[j] += av * brow[j];
-      }
-    }
-  }
-}
-
-void GemmNTNaive(const float* a, const float* b, float* c, int m, int k, int n,
-                 int row_begin, int row_end) {
-  for (int i = row_begin; i < row_end; ++i) {
-    const float* arow = a + static_cast<int64_t>(i) * k;
-    float* crow = c + static_cast<int64_t>(i) * n;
-    for (int j = 0; j < n; ++j) {
-      const float* brow = b + static_cast<int64_t>(j) * k;
-      float acc = crow[j];
-      for (int kk = 0; kk < k; ++kk) {
-        acc += arow[kk] * brow[kk];
-      }
-      crow[j] = acc;
-    }
-  }
-}
-
 namespace {
 
 GemmSimdKernels ScalarKernels() {

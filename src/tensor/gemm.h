@@ -81,20 +81,6 @@ void GemmTNScalar(const float* a, const float* b, float* c, int m, int k,
 void GemmNTScalar(const float* a, const float* b, float* c, int m, int k,
                   int n, int row_begin, int row_end);
 
-/// Naive reference kernels: the original pre-blocking element loops with
-/// their data-dependent zero skip and single ascending-k chain per element.
-/// Kept as the `--gemm naive` wall-clock baseline of the training microbench
-/// and as a reference for the NN/TN forms (whose canonical order is still
-/// plain ascending-k, so they match naive bitwise on finite inputs). The NT
-/// canonical order is the lane-split above, so NT naive output is NOT
-/// bitwise-comparable to the production kernels.
-void GemmNNNaive(const float* a, const float* b, float* c, int m, int k, int n,
-                 int row_begin, int row_end);
-void GemmTNNaive(const float* a, const float* b, float* c, int m, int k, int n,
-                 int row_begin, int row_end);
-void GemmNTNaive(const float* a, const float* b, float* c, int m, int k, int n,
-                 int row_begin, int row_end);
-
 /// One ISA's kernel set plus the name it reports through `GET /v1/stats` and
 /// the microbench JSON.
 struct GemmSimdKernels {

@@ -82,8 +82,6 @@ GemmFn PickNN() {
   switch (g_gemm_kernel.load(std::memory_order_relaxed)) {
     case GemmKernel::kScalar:
       return detail::GemmNNScalar;
-    case GemmKernel::kNaive:
-      return detail::GemmNNNaive;
     case GemmKernel::kAuto:
       break;
   }
@@ -94,8 +92,6 @@ GemmFn PickTN() {
   switch (g_gemm_kernel.load(std::memory_order_relaxed)) {
     case GemmKernel::kScalar:
       return detail::GemmTNScalar;
-    case GemmKernel::kNaive:
-      return detail::GemmTNNaive;
     case GemmKernel::kAuto:
       break;
   }
@@ -106,8 +102,6 @@ GemmFn PickNT() {
   switch (g_gemm_kernel.load(std::memory_order_relaxed)) {
     case GemmKernel::kScalar:
       return detail::GemmNTScalar;
-    case GemmKernel::kNaive:
-      return detail::GemmNTNaive;
     case GemmKernel::kAuto:
       break;
   }
@@ -198,8 +192,6 @@ const char* GemmKernelName(GemmKernel kernel) {
   switch (kernel) {
     case GemmKernel::kScalar:
       return "scalar";
-    case GemmKernel::kNaive:
-      return "naive";
     case GemmKernel::kAuto:
       break;
   }

@@ -15,19 +15,14 @@ namespace kddn {
 ///  - kScalar: the scalar lane-faithful reference — plain C++ emulating the
 ///    identical canonical accumulation order, so its results are bitwise
 ///    equal to kAuto on every host, with or without the ISA.
-///  - kNaive: the original element-at-a-time loops (with their
-///    data-dependent zero skip), kept as the "before" wall-clock baseline of
-///    the training microbench. Matches the canonical order for the NN/TN
-///    forms on finite inputs, but NOT for the A*B^T form (whose canonical
-///    order is the lane-split reduction); see src/tensor/gemm.h.
-enum class GemmKernel { kAuto, kScalar, kNaive };
+enum class GemmKernel { kAuto, kScalar };
 
 /// Sets the process-wide GEMM dispatch mode (atomic; default kAuto).
 /// Intended for tests and benchmarks, not concurrent flipping mid-training.
 void SetGemmKernel(GemmKernel kernel);
 GemmKernel GetGemmKernel();
 
-/// Lowercase name of the dispatch mode: "auto", "scalar", or "naive".
+/// Lowercase name of the dispatch mode: "auto" or "scalar".
 const char* GemmKernelName(GemmKernel kernel);
 
 /// Name of the kernel set kAuto dispatches to on this host ("avx2", "sse2",
@@ -36,7 +31,7 @@ const char* GemmKernelName(GemmKernel kernel);
 const char* ActiveGemmIsa();
 
 /// Opt-in GEMM wall-clock accounting. The training microbench uses this to
-/// measure the GEMM share of a real run in situ: `blocked_gemm_speedup` in
+/// measure the GEMM share of a real run in situ: `simd_vs_scalar_speedup` in
 /// BENCH_train.json is the ratio of accumulated GEMM nanoseconds between
 /// kernel modes on the identical workload, undiluted by the non-GEMM epoch
 /// cost. Disabled (the default) it costs one relaxed atomic load per matmul

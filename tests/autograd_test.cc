@@ -8,14 +8,17 @@
 #include "gtest/gtest.h"
 #include "tensor/tensor_ops.h"
 #include "testing/grad_check.h"
-#include "testing/gradient_check.h"
 
 namespace kddn::ag {
 namespace {
 
 using ::kddn::testing::ExpectGradCheck;
-using ::kddn::testing::ExpectGradientsMatchFiniteDifference;
 using ::kddn::testing::GradCheckOptions;
+
+/// Central-difference settings for the checks below: step 1e-3, relative
+/// tolerance 2e-2 over a scale floor of 1.
+constexpr GradCheckOptions kFiniteDifference{
+    .epsilon = 1e-3f, .rel_tolerance = 2e-2f, .denom_floor = 1.0f};
 
 NodePtr RandomLeaf(std::vector<int> shape, Rng* rng, const std::string& name) {
   return Node::Leaf(RandomNormal(std::move(shape), 0.0f, 1.0f, rng),
@@ -75,16 +78,17 @@ TEST(GradCheck, AddSubMulScale) {
   Rng rng(1);
   NodePtr a = RandomLeaf({3, 2}, &rng, "a");
   NodePtr b = RandomLeaf({3, 2}, &rng, "b");
-  ExpectGradientsMatchFiniteDifference(
-      [&] { return MeanAll(Mul(Sub(Add(a, b), Scale(b, 0.3f)), a)); }, {a, b});
+  ExpectGradCheck(
+      [&] { return MeanAll(Mul(Sub(Add(a, b), Scale(b, 0.3f)), a)); }, {a, b},
+      kFiniteDifference);
 }
 
 TEST(GradCheck, MatMul) {
   Rng rng(2);
   NodePtr a = RandomLeaf({3, 4}, &rng, "a");
   NodePtr b = RandomLeaf({4, 2}, &rng, "b");
-  ExpectGradientsMatchFiniteDifference(
-      [&] { return MeanAll(MatMul(a, b)); }, {a, b});
+  ExpectGradCheck([&] { return MeanAll(MatMul(a, b)); }, {a, b},
+                  kFiniteDifference);
 }
 
 TEST(GradCheck, MatMulABt) {
@@ -92,24 +96,24 @@ TEST(GradCheck, MatMulABt) {
   NodePtr a = RandomLeaf({3, 4}, &rng, "a");
   NodePtr b = RandomLeaf({5, 4}, &rng, "b");
   // Square the product so the gradient depends on both inputs nontrivially.
-  ExpectGradientsMatchFiniteDifference(
+  ExpectGradCheck(
       [&] {
         NodePtr p = MatMulABt(a, b);
         return MeanAll(Mul(p, p));
       },
-      {a, b});
+      {a, b}, kFiniteDifference);
 }
 
 TEST(GradCheck, TransposeAndReshape) {
   Rng rng(4);
   NodePtr a = RandomLeaf({3, 4}, &rng, "a");
-  ExpectGradientsMatchFiniteDifference(
+  ExpectGradCheck(
       [&] {
         NodePtr t = Transpose(a);
         NodePtr r = Reshape(t, {2, 6});
         return MeanAll(Mul(r, r));
       },
-      {a});
+      {a}, kFiniteDifference);
 }
 
 TEST(GradCheck, ReluAwayFromKink) {
@@ -122,47 +126,47 @@ TEST(GradCheck, ReluAwayFromKink) {
     }
   }
   NodePtr a = Node::Leaf(init, true, "a");
-  ExpectGradientsMatchFiniteDifference([&] { return MeanAll(Relu(a)); }, {a});
+  ExpectGradCheck([&] { return MeanAll(Relu(a)); }, {a}, kFiniteDifference);
 }
 
 TEST(GradCheck, Tanh) {
   Rng rng(6);
   NodePtr a = RandomLeaf({2, 5}, &rng, "a");
-  ExpectGradientsMatchFiniteDifference(
-      [&] { return MeanAll(Mul(Tanh(a), Tanh(a))); }, {a});
+  ExpectGradCheck([&] { return MeanAll(Mul(Tanh(a), Tanh(a))); }, {a},
+                  kFiniteDifference);
 }
 
 TEST(GradCheck, SoftmaxRows) {
   Rng rng(7);
   NodePtr a = RandomLeaf({3, 4}, &rng, "a");
   NodePtr w = RandomLeaf({3, 4}, &rng, "w");
-  ExpectGradientsMatchFiniteDifference(
-      [&] { return MeanAll(Mul(SoftmaxRows(a), w)); }, {a, w});
+  ExpectGradCheck([&] { return MeanAll(Mul(SoftmaxRows(a), w)); }, {a, w},
+                  kFiniteDifference);
 }
 
 TEST(GradCheck, ConcatRank1) {
   Rng rng(8);
   NodePtr a = RandomLeaf({3}, &rng, "a");
   NodePtr b = RandomLeaf({2}, &rng, "b");
-  ExpectGradientsMatchFiniteDifference(
+  ExpectGradCheck(
       [&] {
         NodePtr c = Concat({a, b}, 0);
         return MeanAll(Mul(c, c));
       },
-      {a, b});
+      {a, b}, kFiniteDifference);
 }
 
 TEST(GradCheck, ConcatRank2BothAxes) {
   Rng rng(9);
   NodePtr a = RandomLeaf({2, 3}, &rng, "a");
   NodePtr b = RandomLeaf({2, 3}, &rng, "b");
-  ExpectGradientsMatchFiniteDifference(
+  ExpectGradCheck(
       [&] {
         NodePtr rows = Concat({a, b}, 0);
         NodePtr cols = Concat({a, b}, 1);
         return Add(MeanAll(Mul(rows, rows)), MeanAll(Mul(cols, cols)));
       },
-      {a, b});
+      {a, b}, kFiniteDifference);
 }
 
 TEST(ConcatTest, ShapeChecks) {
@@ -177,12 +181,12 @@ TEST(GradCheck, EmbeddingLookup) {
   Rng rng(10);
   NodePtr table = RandomLeaf({6, 3}, &rng, "emb");
   const std::vector<int> ids = {0, 2, 2, 5};  // Repeats accumulate gradient.
-  ExpectGradientsMatchFiniteDifference(
+  ExpectGradCheck(
       [&] {
         NodePtr e = EmbeddingLookup(table, ids);
         return MeanAll(Mul(e, e));
       },
-      {table});
+      {table}, kFiniteDifference);
 }
 
 TEST(EmbeddingLookupTest, OutOfRangeThrows) {
@@ -195,13 +199,13 @@ TEST(EmbeddingLookupTest, OutOfRangeThrows) {
 TEST(GradCheck, UnfoldAndPadRows) {
   Rng rng(11);
   NodePtr x = RandomLeaf({5, 2}, &rng, "x");
-  ExpectGradientsMatchFiniteDifference(
+  ExpectGradCheck(
       [&] {
         NodePtr padded = PadRows(x, 7);
         NodePtr u = Unfold(padded, 3);
         return MeanAll(Mul(u, u));
       },
-      {x});
+      {x}, kFiniteDifference);
 }
 
 TEST(UnfoldTest, ValuesAreWindows) {
@@ -227,8 +231,8 @@ TEST(PadRowsTest, IdentityWhenLongEnough) {
 TEST(GradCheck, MaxOverTime) {
   Rng rng(12);
   NodePtr x = RandomLeaf({6, 4}, &rng, "x");
-  ExpectGradientsMatchFiniteDifference(
-      [&] { return MeanAll(MaxOverTime(x)); }, {x});
+  ExpectGradCheck([&] { return MeanAll(MaxOverTime(x)); }, {x},
+                  kFiniteDifference);
 }
 
 TEST(MaxOverTimeTest, PicksColumnMaxima) {
@@ -243,19 +247,19 @@ TEST(GradCheck, AddRowBroadcast) {
   Rng rng(13);
   NodePtr x = RandomLeaf({4, 3}, &rng, "x");
   NodePtr bias = RandomLeaf({3}, &rng, "b");
-  ExpectGradientsMatchFiniteDifference(
+  ExpectGradCheck(
       [&] {
         NodePtr y = AddRowBroadcast(x, bias);
         return MeanAll(Mul(y, y));
       },
-      {x, bias});
+      {x, bias}, kFiniteDifference);
 }
 
 TEST(GradCheck, SoftmaxCrossEntropy) {
   Rng rng(14);
   NodePtr logits = RandomLeaf({4}, &rng, "logits");
-  ExpectGradientsMatchFiniteDifference(
-      [&] { return SoftmaxCrossEntropy(logits, 2); }, {logits});
+  ExpectGradCheck([&] { return SoftmaxCrossEntropy(logits, 2); }, {logits},
+                  kFiniteDifference);
 }
 
 TEST(SoftmaxCrossEntropyTest, LossMatchesClosedForm) {
@@ -353,13 +357,15 @@ TEST(GradCheck, AttentionComposite) {
   Rng rng(18);
   NodePtr q = RandomLeaf({3, 4}, &rng, "q");
   NodePtr k = RandomLeaf({5, 4}, &rng, "k");
-  ExpectGradientsMatchFiniteDifference(
+  ExpectGradCheck(
       [&] {
         NodePtr weights = SoftmaxRows(MatMulABt(q, k));
         NodePtr mixed = MatMul(weights, k);
         return MeanAll(Mul(mixed, mixed));
       },
-      {q, k}, 1e-2f, 3e-2f);
+      {q, k},
+      GradCheckOptions{
+          .epsilon = 1e-2f, .rel_tolerance = 3e-2f, .denom_floor = 1.0f});
 }
 
 }  // namespace
@@ -368,13 +374,11 @@ TEST(GradCheck, AttentionComposite) {
 namespace kddn::ag {
 namespace {
 
-using ::kddn::testing::ExpectGradientsMatchFiniteDifference;
-
 TEST(GradCheck, Sigmoid) {
   Rng rng(21);
   NodePtr a = Node::Leaf(RandomNormal({3, 4}, 0, 1, &rng), true, "a");
-  ExpectGradientsMatchFiniteDifference(
-      [&] { return MeanAll(Mul(Sigmoid(a), Sigmoid(a))); }, {a});
+  ExpectGradCheck([&] { return MeanAll(Mul(Sigmoid(a), Sigmoid(a))); }, {a},
+                  kFiniteDifference);
 }
 
 TEST(SigmoidTest, Range) {
@@ -388,14 +392,14 @@ TEST(SigmoidTest, Range) {
 TEST(GradCheck, SliceRows) {
   Rng rng(22);
   NodePtr x = Node::Leaf(RandomNormal({5, 3}, 0, 1, &rng), true, "x");
-  ExpectGradientsMatchFiniteDifference(
+  ExpectGradCheck(
       [&] {
         NodePtr top = SliceRows(x, 0, 2);
         NodePtr bottom = SliceRows(x, 3, 5);
         return MeanAll(Mul(Concat({top, bottom}, 0),
                            Concat({bottom, top}, 0)));
       },
-      {x});
+      {x}, kFiniteDifference);
 }
 
 TEST(SliceRowsTest, ValuesAndBounds) {

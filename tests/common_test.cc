@@ -1,7 +1,9 @@
 #include <cmath>
 #include <set>
+#include <string_view>
 
 #include "common/check.h"
+#include "common/fnv1a.h"
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "gtest/gtest.h"
@@ -30,6 +32,21 @@ TEST(CheckTest, MessagePayloadIsIncluded) {
     EXPECT_NE(what.find("custom context 42"), std::string::npos);
     EXPECT_NE(what.find("common_test.cc"), std::string::npos);
   }
+}
+
+TEST(Fnv1aTest, KnownAnswers) {
+  // The repo's seed, not the published offset basis 14695981039346656037:
+  // checkpoint checksums, snapshot fingerprints, concept-cache keys and the
+  // determinism goldens all depend on these exact values.
+  EXPECT_EQ(kFnv1aSeed, 1469598103934665603ULL);
+  EXPECT_EQ(Fnv1a("", 0), kFnv1aSeed);
+  const std::string_view note = "cardiac tamponade";
+  EXPECT_EQ(Fnv1a(note.data(), note.size()), 0x88c5fa651ecdf46dULL);
+  const unsigned char zeros[4] = {0, 0, 0, 0};
+  EXPECT_EQ(Fnv1a(zeros, sizeof(zeros)), 0x315446a086a23133ULL);
+  // Chaining: hashing two ranges in turn equals hashing their concatenation.
+  EXPECT_EQ(Fnv1a(note.data() + 7, note.size() - 7, Fnv1a(note.data(), 7)),
+            Fnv1a(note.data(), note.size()));
 }
 
 TEST(RngTest, SameSeedSameStream) {

@@ -50,8 +50,10 @@ TEST_F(CoreTest, TrainerImprovesOverChance) {
       trainer.Train(&model, dataset_.train(), dataset_.validation(),
                     synth::Horizon::kWithinYear);
   ASSERT_EQ(curve.points().size(), 6u);
-  const double test_auc = Trainer::EvaluateAuc(&model, dataset_.test(),
-                                               synth::Horizon::kWithinYear);
+  const double test_auc =
+      Trainer::EvaluateSplit(&model, dataset_.test(),
+                             synth::Horizon::kWithinYear)
+          .auc;
   EXPECT_GT(test_auc, 0.62) << "Text CNN failed to learn the planted signal";
 }
 
@@ -70,21 +72,26 @@ TEST_F(CoreTest, TrainingLossDecreases) {
 
 TEST_F(CoreTest, ScoresAndLabelsAlign) {
   models::TextCnn model(SmallModelConfig());
-  const auto scores = Trainer::Scores(&model, dataset_.test());
   const auto labels =
       Trainer::Labels(dataset_.test(), synth::Horizon::kInHospital);
-  EXPECT_EQ(scores.size(), dataset_.test().size());
-  EXPECT_EQ(labels.size(), dataset_.test().size());
-  for (float s : scores) {
-    EXPECT_GE(s, 0.0f);
-    EXPECT_LE(s, 1.0f);
+  ASSERT_EQ(labels.size(), dataset_.test().size());
+  for (size_t i = 0; i < labels.size(); ++i) {
+    EXPECT_EQ(labels[i],
+              dataset_.test()[i].Label(synth::Horizon::kInHospital) ? 1 : 0);
   }
+  const Trainer::EvalMetrics metrics = Trainer::EvaluateSplit(
+      &model, dataset_.test(), synth::Horizon::kInHospital);
+  EXPECT_GT(metrics.mean_loss, 0.0);
+  EXPECT_GE(metrics.auc, 0.0);
+  EXPECT_LE(metrics.auc, 1.0);
 }
 
-TEST_F(CoreTest, EvaluateAucHandlesDegenerateSplits) {
+TEST_F(CoreTest, EvaluateSplitHandlesDegenerateSplits) {
   models::TextCnn model(SmallModelConfig());
-  EXPECT_EQ(Trainer::EvaluateAuc(&model, {}, synth::Horizon::kInHospital),
-            0.5);
+  const Trainer::EvalMetrics empty =
+      Trainer::EvaluateSplit(&model, {}, synth::Horizon::kInHospital);
+  EXPECT_EQ(empty.auc, 0.5);
+  EXPECT_EQ(empty.mean_loss, 0.0);
   // Single-class split.
   std::vector<data::Example> negatives;
   for (const data::Example& example : dataset_.test()) {
@@ -93,7 +100,8 @@ TEST_F(CoreTest, EvaluateAucHandlesDegenerateSplits) {
     }
   }
   EXPECT_EQ(
-      Trainer::EvaluateAuc(&model, negatives, synth::Horizon::kInHospital),
+      Trainer::EvaluateSplit(&model, negatives, synth::Horizon::kInHospital)
+          .auc,
       0.5);
 }
 
@@ -192,8 +200,10 @@ TEST_F(CoreTest, TrainerRestoresBestValidationEpoch) {
   eval::CurveRecorder curve =
       trainer.Train(&model, dataset_.train(), dataset_.validation(),
                     synth::Horizon::kWithinYear);
-  const double restored_auc = Trainer::EvaluateAuc(
-      &model, dataset_.validation(), synth::Horizon::kWithinYear);
+  const double restored_auc =
+      Trainer::EvaluateSplit(&model, dataset_.validation(),
+                             synth::Horizon::kWithinYear)
+          .auc;
   EXPECT_NEAR(restored_auc, curve.BestValidationAuc(), 1e-9);
 }
 

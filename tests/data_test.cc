@@ -132,6 +132,9 @@ TEST_F(DatasetTest, InvalidOptionsRejected) {
   bad = DatasetOptions();
   bad.max_words = 0;
   EXPECT_THROW(MortalityDataset::Build(cohort_, extractor_, bad), KddnError);
+  // An empty cohort leaves no patient to keep.
+  EXPECT_THROW(MortalityDataset::Build(synth::Cohort(), extractor_),
+               KddnError);
 }
 
 TEST(MomentsTest, KnownValues) {

@@ -64,7 +64,7 @@ TEST(RocAucTest, DegenerateInputsRejected) {
 TEST(RocAucTest, OneClassInputsAreChance) {
   // One-class inputs have no (positive, negative) pair, so the pairwise
   // definition is vacuous; RocAuc documents chance level for them, the same
-  // convention core::Trainer::EvaluateAuc uses for one-class splits.
+  // convention core::Trainer::EvaluateSplit uses for one-class splits.
   EXPECT_DOUBLE_EQ(RocAuc({0.5f, 0.6f}, {1, 1}), 0.5);
   EXPECT_DOUBLE_EQ(RocAuc({0.5f, 0.6f}, {0, 0}), 0.5);
 }

@@ -320,26 +320,49 @@ TEST(JobExecutorTest, NestedParallelismInsideJobBodiesInlinesWithoutDeadlock) {
 
 TEST(JobExecutorTest, ParallelForBlockedCoversEveryIndexExactlyOnce) {
   PoolSizeGuard guard;
+  struct Case {
+    int64_t count;
+    int64_t min_block;
+  };
   for (const int pool_size : {1, 2, 4}) {
     SetGlobalThreadPoolSize(pool_size);
     jobs::JobExecutor executor(&GlobalThreadPool());
-    for (const int64_t count : {int64_t{1}, int64_t{7}, int64_t{64},
-                                int64_t{1000}}) {
-      std::vector<std::atomic<int>> touched(static_cast<size_t>(count));
+    // Empty and negative ranges make no call.
+    std::atomic<int> calls{0};
+    for (const int64_t count : {int64_t{0}, int64_t{-3}}) {
+      executor.ParallelForBlocked(count, 8,
+                                  [&](int64_t, int64_t) { ++calls; });
+    }
+    EXPECT_EQ(calls.load(), 0) << "pool=" << pool_size;
+    for (const Case c : {Case{1, 1}, Case{7, 1}, Case{64, 1}, Case{1000, 1},
+                         Case{1001, 7}}) {
+      std::vector<std::atomic<int>> touched(static_cast<size_t>(c.count));
       for (auto& t : touched) {
         t.store(0, std::memory_order_relaxed);
       }
-      executor.ParallelForBlocked(count, 1, [&](int64_t begin, int64_t end) {
-        ASSERT_LT(begin, end);
-        SpinFor(Mix(static_cast<uint64_t>(begin)) % 3000);
-        for (int64_t i = begin; i < end; ++i) {
-          touched[static_cast<size_t>(i)].fetch_add(
-              1, std::memory_order_relaxed);
-        }
-      });
-      for (int64_t i = 0; i < count; ++i) {
+      std::atomic<int> unmarked_blocks{0};
+      executor.ParallelForBlocked(
+          c.count, c.min_block, [&](int64_t begin, int64_t end) {
+            ASSERT_LT(begin, end);
+            // Every lane, the calling thread's included, runs as a worker,
+            // so parallel regions nested in a block run inline.
+            if (!ThreadPool::InWorker()) {
+              unmarked_blocks.fetch_add(1, std::memory_order_relaxed);
+            }
+            SpinFor(Mix(static_cast<uint64_t>(begin)) % 3000);
+            for (int64_t i = begin; i < end; ++i) {
+              touched[static_cast<size_t>(i)].fetch_add(
+                  1, std::memory_order_relaxed);
+            }
+          });
+      for (int64_t i = 0; i < c.count; ++i) {
         ASSERT_EQ(touched[static_cast<size_t>(i)].load(), 1)
-            << "pool=" << pool_size << " count=" << count << " index " << i;
+            << "pool=" << pool_size << " count=" << c.count
+            << " min_block=" << c.min_block << " index " << i;
+      }
+      if (pool_size > 1 && c.count > c.min_block) {
+        EXPECT_EQ(unmarked_blocks.load(), 0)
+            << "pool=" << pool_size << " count=" << c.count;
       }
     }
     // Exceptions come back to the caller, whole and first-wins.

@@ -250,7 +250,6 @@ TEST(GruTest, InvalidConfigThrows) {
 
 #include "tensor/tensor_ops.h"
 #include "testing/grad_check.h"
-#include "testing/gradient_check.h"
 
 namespace kddn::models {
 namespace {
@@ -339,11 +338,13 @@ TEST(GruTest, GradCheckThroughRecurrence) {
   example.word_ids = {2, 5, 3};
   example.concept_ids = {2};
   nn::ForwardContext ctx;  // Inference mode: deterministic for FD.
-  kddn::testing::ExpectGradientsMatchFiniteDifference(
+  kddn::testing::ExpectGradCheck(
       [&] {
         return ag::SoftmaxCrossEntropy(model.Logits(example, ctx), 1);
       },
-      model.params().all(), 1e-2f, 4e-2f);
+      model.params().all(),
+      kddn::testing::GradCheckOptions{
+          .epsilon = 1e-2f, .rel_tolerance = 4e-2f, .denom_floor = 1.0f});
 }
 
 }  // namespace

@@ -7,12 +7,18 @@
 #include "nn/optimizer.h"
 #include "nn/parameter.h"
 #include "tensor/tensor_ops.h"
-#include "testing/gradient_check.h"
+#include "testing/grad_check.h"
 
 namespace kddn::nn {
 namespace {
 
-using ::kddn::testing::ExpectGradientsMatchFiniteDifference;
+using ::kddn::testing::ExpectGradCheck;
+using ::kddn::testing::GradCheckOptions;
+
+/// Central-difference settings for the checks below: step 1e-3, relative
+/// tolerance 2e-2 over a scale floor of 1.
+constexpr GradCheckOptions kFiniteDifference{
+    .epsilon = 1e-3f, .rel_tolerance = 2e-2f, .denom_floor = 1.0f};
 
 TEST(ParameterSetTest, CreateAndLookup) {
   ParameterSet params;
@@ -85,12 +91,12 @@ TEST(DenseTest, GradCheck) {
       ag::Node::Leaf(RandomNormal({5, 4}, 0, 1, &rng), true, "x");
   std::vector<ag::NodePtr> leaves = params.all();
   leaves.push_back(x);
-  ExpectGradientsMatchFiniteDifference(
+  ExpectGradCheck(
       [&] {
         ag::NodePtr y = dense.Forward(x);
         return ag::MeanAll(ag::Mul(y, y));
       },
-      leaves);
+      leaves, kFiniteDifference);
 }
 
 TEST(DenseTest, WidthMismatchThrows) {
@@ -121,12 +127,14 @@ TEST(Conv1dBankTest, GradCheckThroughWholeBlock) {
       ag::Node::Leaf(RandomNormal({5, 3}, 0, 1, &rng), true, "x");
   std::vector<ag::NodePtr> leaves = params.all();
   leaves.push_back(x);
-  ExpectGradientsMatchFiniteDifference(
+  ExpectGradCheck(
       [&] {
         ag::NodePtr y = conv.Forward(x);
         return ag::MeanAll(ag::Mul(y, y));
       },
-      leaves, 1e-2f, 4e-2f);
+      leaves,
+      GradCheckOptions{
+          .epsilon = 1e-2f, .rel_tolerance = 4e-2f, .denom_floor = 1.0f});
 }
 
 TEST(AttiTest, WeightsRowsSumToOne) {

@@ -27,7 +27,6 @@ TEST(ThreadPoolTest, ZeroAndNegativeCountsReturnImmediately) {
   int calls = 0;
   pool.ParallelFor(0, [&](int64_t) { ++calls; });
   pool.ParallelFor(-3, [&](int64_t) { ++calls; });
-  pool.ParallelForBlocked(0, 8, [&](int64_t, int64_t) { ++calls; });
   EXPECT_EQ(calls, 0);
 }
 
@@ -48,22 +47,6 @@ TEST(ThreadPoolTest, EveryIndexRunsExactlyOnce) {
   pool.ParallelFor(kCount, [&](int64_t i) {
     hits[i].fetch_add(1, std::memory_order_relaxed);
   });
-  for (const auto& h : hits) {
-    EXPECT_EQ(h.load(), 1);
-  }
-}
-
-TEST(ThreadPoolTest, BlockedVariantCoversRangeWithoutOverlap) {
-  ThreadPool pool(3);
-  constexpr int kCount = 1001;
-  std::vector<std::atomic<int>> hits(kCount);
-  pool.ParallelForBlocked(kCount, /*min_block=*/7,
-                          [&](int64_t begin, int64_t end) {
-                            ASSERT_LT(begin, end);
-                            for (int64_t i = begin; i < end; ++i) {
-                              hits[i].fetch_add(1, std::memory_order_relaxed);
-                            }
-                          });
   for (const auto& h : hits) {
     EXPECT_EQ(h.load(), 1);
   }
@@ -174,8 +157,9 @@ class TrainingDeterminismTest : public ::testing::Test {
     for (const ag::NodePtr& param : model.params().all()) {
       params.push_back(param->value());
     }
-    const double auc = core::Trainer::EvaluateAuc(
-        &model, dataset_.test(), synth::Horizon::kInHospital);
+    const double auc = core::Trainer::EvaluateSplit(
+                           &model, dataset_.test(), synth::Horizon::kInHospital)
+                           .auc;
     return {std::move(params), auc};
   }
 
@@ -207,16 +191,14 @@ TEST_F(TrainingDeterminismTest, BitwiseIdenticalParamsAtAnyThreadCount) {
 TEST_F(TrainingDeterminismTest, ScoresIdenticalAcrossGlobalPoolSizes) {
   models::BkDdn model(SmallModelConfig());
   SetGlobalThreadPoolSize(1);
-  const std::vector<float> serial =
-      core::Trainer::Scores(&model, dataset_.test());
+  const core::Trainer::EvalMetrics serial = core::Trainer::EvaluateSplit(
+      &model, dataset_.test(), synth::Horizon::kInHospital);
   for (int threads : {2, 4}) {
     SetGlobalThreadPoolSize(threads);
-    const std::vector<float> parallel =
-        core::Trainer::Scores(&model, dataset_.test());
-    ASSERT_EQ(parallel.size(), serial.size());
-    for (size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(parallel[i], serial[i]) << "score " << i << " at " << threads;
-    }
+    const core::Trainer::EvalMetrics parallel = core::Trainer::EvaluateSplit(
+        &model, dataset_.test(), synth::Horizon::kInHospital);
+    EXPECT_EQ(parallel.mean_loss, serial.mean_loss) << threads;
+    EXPECT_EQ(parallel.auc, serial.auc) << threads;
   }
   SetGlobalThreadPoolSize(0);
 }

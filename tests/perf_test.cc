@@ -3,34 +3,23 @@
 // awkward shape, lane remainder, thread count, and special-value pattern; the
 // dispatch logic must pick the widest compiled-in ISA and honour the
 // force-scalar override; the TensorPool must recycle storage without leaking
-// stale bytes into results; the row tracker must obey its marking rules; and
-// — the end-to-end guarantees — row-sparse embedding updates must train to
-// bitwise-identical weights as the dense path at any thread count, and a
-// checkpoint written under the scalar kernel must resume bitwise-identically
-// under the SIMD kernel.
+// stale bytes into results; and the row tracker must obey its marking rules,
+// with a row-sparse Adagrad step bitwise equal to a dense one. The
+// end-to-end training goldens live in tests/pipeline_test.cc.
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "autograd/node.h"
 #include "autograd/ops.h"
-#include "common/check.h"
 #include "common/cpu_features.h"
-#include "common/fault_injector.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
-#include "core/trainer.h"
-#include "data/dataset.h"
 #include "gtest/gtest.h"
-#include "kb/concept_extractor.h"
-#include "kb/knowledge_base.h"
-#include "models/bk_ddn.h"
 #include "nn/optimizer.h"
-#include "synth/cohort.h"
 #include "tensor/gemm.h"
 #include "tensor/tensor_ops.h"
 #include "tensor/tensor_pool.h"
@@ -44,24 +33,11 @@ struct GemmKernelGuard {
   ~GemmKernelGuard() { SetGemmKernel(previous); }
 };
 
-/// Restores the process-wide sparse-gradient mode on scope exit.
-struct SparseModeGuard {
-  bool previous = ag::SparseGradientsEnabled();
-  ~SparseModeGuard() { ag::SetSparseGradients(previous); }
-};
-
 /// Restores the global thread pool size on scope exit.
 struct ThreadPoolGuard {
   int previous = GlobalThreadPoolSize();
   ~ThreadPoolGuard() { SetGlobalThreadPoolSize(previous); }
 };
-
-/// A fresh scratch directory under the test temp dir.
-std::string ScratchDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "kddn_perf_" + name;
-  std::filesystem::remove_all(dir);
-  return dir;
-}
 
 void ExpectBitwiseEqual(const Tensor& a, const Tensor& b,
                         const std::string& what) {
@@ -83,11 +59,8 @@ GemmResults RunAllForms(GemmKernel kernel, const Tensor& a, const Tensor& b,
 
 /// Sweeps sub-tile, prime, and just-past-tile extents through all three
 /// matmul forms. The dispatched SIMD kernels (kAuto) must match the scalar
-/// lane-faithful reference (kScalar) bitwise everywhere; the NN and TN forms
-/// must additionally match the retained naive loops, whose plain ascending-k
-/// chain IS their canonical order on finite inputs. (The NT form's canonical
-/// order is the lane-split reduction, so naive NT is intentionally not
-/// comparable.) 256 and 301 in the k sweep cross the kGemmKc chunk boundary.
+/// lane-faithful reference (kScalar) bitwise everywhere. 256 and 301 in the
+/// k sweep cross the kGemmKc chunk boundary.
 TEST(GemmKernelTest, SimdMatchesScalarReferenceAcrossShapes) {
   GemmKernelGuard guard;
   Rng rng(123);
@@ -102,7 +75,6 @@ TEST(GemmKernelTest, SimdMatchesScalarReferenceAcrossShapes) {
         const Tensor b = RandomNormal({k, n}, 0, 1, &rng);
         const Tensor bt = RandomNormal({n, k}, 0, 1, &rng);
         const Tensor at = RandomNormal({k, m}, 0, 1, &rng);
-        const GemmResults naive = RunAllForms(GemmKernel::kNaive, a, b, bt, at);
         const GemmResults scalar =
             RunAllForms(GemmKernel::kScalar, a, b, bt, at);
         const GemmResults simd = RunAllForms(GemmKernel::kAuto, a, b, bt, at);
@@ -112,8 +84,6 @@ TEST(GemmKernelTest, SimdMatchesScalarReferenceAcrossShapes) {
         ExpectBitwiseEqual(simd.nn, scalar.nn, "simd MatMul" + shape);
         ExpectBitwiseEqual(simd.nt, scalar.nt, "simd MatMulABt" + shape);
         ExpectBitwiseEqual(simd.tn, scalar.tn, "simd MatMulAtB" + shape);
-        ExpectBitwiseEqual(scalar.nn, naive.nn, "naive MatMul" + shape);
-        ExpectBitwiseEqual(scalar.tn, naive.tn, "naive MatMulAtB" + shape);
       }
     }
   }
@@ -223,10 +193,10 @@ TEST(GemmKernelTest, SpecialValuesMatchScalarBitwise) {
                                      "special-value MatMulAtB");
 }
 
-/// Zeros scattered through the operands exercise the one arithmetic
-/// difference between the production kernels and the naive loops: naive
-/// skips zero multiplicands, the others multiply through. Adding a*0 must
-/// not change any bit of an NN result.
+/// Zeros and negative zeros scattered through the operands: the kernels
+/// multiply through zeros rather than skipping them, so every a*0 and
+/// a*(-0) must reach the same signed-zero bits in SIMD lanes as in the
+/// scalar reference.
 TEST(GemmKernelTest, ZeroRichOperandsStillMatchBitwise) {
   GemmKernelGuard guard;
   Rng rng(321);
@@ -238,12 +208,13 @@ TEST(GemmKernelTest, ZeroRichOperandsStillMatchBitwise) {
   for (int64_t i = 0; i < b.size(); i += 2) {
     b.data()[i] = -0.0f;
   }
-  SetGemmKernel(GemmKernel::kNaive);
-  const Tensor naive = MatMul(a, b);
-  SetGemmKernel(GemmKernel::kScalar);
-  ExpectBitwiseEqual(MatMul(a, b), naive, "zero-rich scalar MatMul");
-  SetGemmKernel(GemmKernel::kAuto);
-  ExpectBitwiseEqual(MatMul(a, b), naive, "zero-rich simd MatMul");
+  const Tensor bt = Transpose(b);
+  const Tensor at = Transpose(a);
+  const GemmResults scalar = RunAllForms(GemmKernel::kScalar, a, b, bt, at);
+  const GemmResults simd = RunAllForms(GemmKernel::kAuto, a, b, bt, at);
+  ExpectBitwiseEqual(simd.nn, scalar.nn, "zero-rich MatMul");
+  ExpectBitwiseEqual(simd.nt, scalar.nt, "zero-rich MatMulABt");
+  ExpectBitwiseEqual(simd.tn, scalar.tn, "zero-rich MatMulAtB");
 }
 
 TEST(GemmKernelTest, IntoVariantsMatchAllocatingForms) {
@@ -350,7 +321,6 @@ TEST(GemmDispatchTest, ActiveIsaIsAKnownNameAndStable) {
 TEST(GemmDispatchTest, KernelModeNames) {
   EXPECT_STREQ(GemmKernelName(GemmKernel::kAuto), "auto");
   EXPECT_STREQ(GemmKernelName(GemmKernel::kScalar), "scalar");
-  EXPECT_STREQ(GemmKernelName(GemmKernel::kNaive), "naive");
 }
 
 TEST(GemmDispatchTest, TimingAccumulatorCountsOnlyWhenEnabled) {
@@ -449,26 +419,29 @@ TEST(SparseRowsTest, TracksDeduplicatedRowsAndDenseAbsorbs) {
   EXPECT_EQ(tracker.rows(), (std::vector<int>{2}));
 }
 
-/// One embedding backward + Adagrad step, sparse vs dense mode, on identical
-/// tables: values and gradients must end bitwise identical, and repeated ids
-/// must accumulate exactly once per occurrence.
+/// One embedding backward + Adagrad step, row-sparse vs dense, on identical
+/// tables: values and accumulators must end bitwise identical, and repeated
+/// ids must accumulate exactly once per occurrence. The dense leg touches
+/// mutable_grad() before each step, which marks the row tracker dense, so
+/// the optimizer takes its whole-table path.
 TEST(SparseAdagradTest, StepBitwiseEqualToDense) {
-  SparseModeGuard guard;
   Rng rng(4242);
   const Tensor init = RandomNormal({12, 4}, 0, 0.5f, &rng);
   const std::vector<int> ids = {0, 7, 7, 3, 0};
 
   auto run = [&](bool sparse) {
-    ag::SetSparseGradients(sparse);
     ag::NodePtr table = ag::Node::Leaf(init, true, "emb.table");
     nn::Adagrad opt(0.1f);
     for (int step = 0; step < 3; ++step) {
       ag::NodePtr e = ag::EmbeddingLookup(table, ids);
       ag::Backward(ag::MeanAll(ag::Mul(e, e)));
-      if (sparse) {
-        EXPECT_EQ(table->grad_rows().state(), ag::SparseRows::State::kSparse)
+      EXPECT_EQ(table->grad_rows().state(), ag::SparseRows::State::kSparse)
+          << "step " << step;
+      EXPECT_EQ(table->grad_rows().rows(), (std::vector<int>{0, 7, 3}));
+      if (!sparse) {
+        table->mutable_grad();
+        EXPECT_EQ(table->grad_rows().state(), ag::SparseRows::State::kDense)
             << "step " << step;
-        EXPECT_EQ(table->grad_rows().rows(), (std::vector<int>{0, 7, 3}));
       }
       opt.Step({table});
       EXPECT_EQ(table->grad_rows().state(), ag::SparseRows::State::kClean);
@@ -484,138 +457,6 @@ TEST(SparseAdagradTest, StepBitwiseEqualToDense) {
     EXPECT_EQ(sparse_state[i].first, dense_state[i].first);
     ExpectBitwiseEqual(sparse_state[i].second, dense_state[i].second,
                        "accumulator " + dense_state[i].first);
-  }
-}
-
-/// Shared training fixture for the end-to-end goldens: sparse-vs-dense
-/// equivalence and cross-kernel checkpoint resume.
-class TrainingEquivalenceTest : public ::testing::Test {
- protected:
-  TrainingEquivalenceTest()
-      : kb_(kb::KnowledgeBase::BuildDefault()), extractor_(&kb_) {
-    synth::CohortConfig config;
-    config.num_patients = 120;
-    config.seed = 91;
-    cohort_ = synth::Cohort::Generate(config, kb_);
-    data::DatasetOptions options;
-    options.max_words = 48;
-    options.max_concepts = 24;
-    dataset_ = data::MortalityDataset::Build(cohort_, extractor_, options);
-  }
-
-  models::ModelConfig Config() const {
-    models::ModelConfig config;
-    config.word_vocab_size = dataset_.word_vocab().size();
-    config.concept_vocab_size = dataset_.concept_vocab().size();
-    config.embedding_dim = 6;
-    config.num_filters = 4;
-    config.seed = 17;
-    return config;
-  }
-
-  std::vector<Tensor> TrainOnce(bool sparse, int num_threads) {
-    models::BkDdn model(Config());
-    core::TrainOptions options;
-    options.epochs = 2;
-    options.batch_size = 16;
-    options.seed = 13;
-    options.num_threads = num_threads;
-    options.sparse_embedding_updates = sparse;
-    core::Trainer trainer(options);
-    trainer.Train(&model, dataset_.train(), dataset_.validation(),
-                  synth::Horizon::kInHospital);
-    std::vector<Tensor> params;
-    for (const ag::NodePtr& param : model.params().all()) {
-      params.push_back(param->value());
-    }
-    return params;
-  }
-
-  kb::KnowledgeBase kb_;
-  kb::ConceptExtractor extractor_;
-  synth::Cohort cohort_;
-  data::MortalityDataset dataset_;
-};
-
-/// End-to-end golden: BK-DDN trained with sparse embedding updates must
-/// reach bitwise-identical weights as the dense path, at 1 and 4 threads
-/// (the GradSink merge/reset paths differ per thread count).
-TEST_F(TrainingEquivalenceTest, SparseMatchesDenseBitwise) {
-  const std::vector<Tensor> golden = TrainOnce(/*sparse=*/false,
-                                               /*num_threads=*/1);
-  ASSERT_FALSE(golden.empty());
-  for (const bool sparse : {false, true}) {
-    for (const int threads : {1, 4}) {
-      if (!sparse && threads == 1) {
-        continue;  // That is the golden run itself.
-      }
-      const std::vector<Tensor> params = TrainOnce(sparse, threads);
-      ASSERT_EQ(params.size(), golden.size());
-      for (size_t i = 0; i < params.size(); ++i) {
-        ASSERT_TRUE(params[i].SameShape(golden[i]));
-        EXPECT_EQ(std::memcmp(params[i].data(), golden[i].data(),
-                              params[i].size() * sizeof(float)),
-                  0)
-            << "param " << i << " differs (sparse=" << sparse
-            << ", threads=" << threads << ")";
-      }
-    }
-  }
-}
-
-/// Cross-kernel resume golden: a checkpoint written while training under the
-/// scalar lane-faithful reference must resume under the dispatched SIMD
-/// kernel and land on exactly the weights of a run that used the SIMD kernel
-/// throughout. This is the determinism contract's payoff in production: a
-/// snapshot can migrate between hosts (or builds) with different ISAs and
-/// training history never forks.
-TEST_F(TrainingEquivalenceTest, ScalarCheckpointResumesBitwiseUnderSimd) {
-  GemmKernelGuard guard;
-  const auto& train = dataset_.train();
-  const auto& validation = dataset_.validation();
-  const synth::Horizon horizon = synth::Horizon::kInHospital;
-
-  core::TrainOptions options;
-  options.epochs = 4;
-  options.batch_size = 16;
-  options.seed = 13;
-  options.num_threads = 1;
-
-  // Reference: the whole run under the dispatched kernel.
-  SetGemmKernel(GemmKernel::kAuto);
-  models::BkDdn straight(Config());
-  core::Trainer(options).Train(&straight, train, validation, horizon);
-
-  // Epochs 1-2 under the scalar reference, "crash" at the start of epoch 3.
-  core::TrainOptions checkpointed = options;
-  checkpointed.checkpoint_dir = ScratchDir("cross_kernel_resume");
-  SetGemmKernel(GemmKernel::kScalar);
-  {
-    FaultInjector::ScopedFault kill("core.train.epoch", /*fail_on_hit=*/2);
-    models::BkDdn crashed(Config());
-    EXPECT_THROW(core::Trainer(checkpointed)
-                     .Train(&crashed, train, validation, horizon),
-                 KddnError);
-  }
-  ASSERT_TRUE(std::filesystem::exists(
-      core::CheckpointPath(checkpointed.checkpoint_dir)));
-
-  // Resume epochs 3-4 under the SIMD kernel.
-  SetGemmKernel(GemmKernel::kAuto);
-  checkpointed.resume = true;
-  models::BkDdn resumed(Config());
-  core::Trainer(checkpointed).Train(&resumed, train, validation, horizon);
-
-  const auto& expected = straight.params().all();
-  const auto& actual = resumed.params().all();
-  ASSERT_EQ(actual.size(), expected.size());
-  for (size_t i = 0; i < actual.size(); ++i) {
-    const Tensor& a = actual[i]->value();
-    const Tensor& e = expected[i]->value();
-    ASSERT_TRUE(a.SameShape(e));
-    EXPECT_EQ(std::memcmp(a.data(), e.data(), a.size() * sizeof(float)), 0)
-        << "parameter " << actual[i]->name()
-        << " forked across the kernel switch";
   }
 }
 

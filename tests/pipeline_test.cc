@@ -1,13 +1,15 @@
-// Input-pipeline and evaluation-path suite (DESIGN.md §10, §14): the
-// parallel dataset build must be byte-identical to the serial reference at
-// every pool size, BatchAssembler must hand the trainer exactly the batches
-// direct slicing would, the job-graph training path must reproduce the
-// legacy fork/join path's weights bitwise (including across checkpoint/
-// resume), inference-mode graphs must carry bitwise-identical values with no
-// tape, and the fused gradient-free evaluation must record curves bitwise
-// equal to the historical MeanLoss + EvaluateAuc double pass. Labelled
+// Determinism goldens and the input-pipeline / evaluation-path suite
+// (DESIGN.md §10, §14, §15). Committed FNV-1a fingerprints pin the built
+// dataset's bytes and, for BK-DDN, AK-DDN and Text CNN, the trained weights
+// plus every curve point, at 1, 2 and 4 threads and under the scalar GEMM;
+// both resume paths (mid-run checkpoint, and a checkpoint written under the
+// scalar GEMM resumed under SIMD) must land on the same constant.
+// BatchAssembler must hand the trainer exactly the batches direct slicing
+// would, inference-mode graphs must carry bitwise-identical values with no
+// tape, and EvaluateSplit must equal a per-example graph forward. Labelled
 // `pipeline` and `sanitize` — the whole suite runs under TSan.
-#include <cstring>
+#include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -17,6 +19,8 @@
 #include "autograd/node.h"
 #include "autograd/ops.h"
 #include "common/check.h"
+#include "common/fault_injector.h"
+#include "common/fnv1a.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/batch_assembler.h"
@@ -47,81 +51,103 @@ std::string ScratchDir(const std::string& name) {
   return dir;
 }
 
-void ExpectSameExamples(const std::vector<data::Example>& actual,
-                        const std::vector<data::Example>& expected,
-                        const std::string& split) {
-  ASSERT_EQ(actual.size(), expected.size()) << split;
-  for (size_t i = 0; i < actual.size(); ++i) {
-    EXPECT_EQ(actual[i].patient_id, expected[i].patient_id)
-        << split << " example " << i;
-    EXPECT_EQ(actual[i].word_ids, expected[i].word_ids)
-        << split << " example " << i;
-    EXPECT_EQ(actual[i].concept_ids, expected[i].concept_ids)
-        << split << " example " << i;
-    EXPECT_EQ(actual[i].labels, expected[i].labels)
-        << split << " example " << i;
-  }
-}
-
-void ExpectSameVocab(const text::Vocabulary& actual,
-                     const text::Vocabulary& expected,
-                     const std::string& what) {
-  ASSERT_EQ(actual.size(), expected.size()) << what;
-  for (int id = 0; id < expected.size(); ++id) {
-    EXPECT_EQ(actual.TokenOf(id), expected.TokenOf(id)) << what << " id " << id;
-    EXPECT_EQ(actual.Frequency(id), expected.Frequency(id))
-        << what << " id " << id;
-  }
-}
+/// Restores the process-wide GEMM kernel mode on scope exit.
+struct GemmKernelGuard {
+  GemmKernel previous = GetGemmKernel();
+  ~GemmKernelGuard() { SetGemmKernel(previous); }
+};
 
 // ---------------------------------------------------------------------------
-// Parallel dataset build: byte-identical to the serial reference.
+// Determinism goldens (DESIGN.md §15). Each constant was recorded before the
+// reference paths (fork-join trainer, inline assembly, two-pass eval, dense
+// embedding gradients, serial dataset build) were deleted, and those paths
+// and the default path gave it alike, at 1, 2 and 4 threads, under both GEMM
+// kernels, in RelWithDebInfo and Release. Re-pinning one needs a CHANGES.md
+// entry that says why the bits changed.
 // ---------------------------------------------------------------------------
 
-TEST(ParallelDatasetBuildTest, MatchesSerialByteForByteAtEveryPoolSize) {
-  PoolSizeGuard guard;
-  const kb::KnowledgeBase kb = kb::KnowledgeBase::BuildDefault();
-  const kb::ConceptExtractor extractor(&kb);
-  synth::CohortConfig cohort_config;
-  cohort_config.num_patients = 90;
-  cohort_config.seed = 37;
-  const synth::Cohort cohort = synth::Cohort::Generate(cohort_config, kb);
+constexpr uint64_t kDatasetGolden = 0x7b58fd59196e2840ULL;
+constexpr uint64_t kBkDdnGolden = 0x7784e7c05e6035ceULL;
+constexpr uint64_t kAkDdnGolden = 0xb8ae0294e2ffbe1dULL;
+constexpr uint64_t kTextCnnGolden = 0x5e39578af8f7d791ULL;
 
-  data::DatasetOptions options;
-  options.max_words = 48;
-  options.max_concepts = 24;
-  options.parallel_build = false;
-  const data::MortalityDataset serial =
-      data::MortalityDataset::Build(cohort, extractor, options);
+/// Folds one trivially copyable value into an FNV-1a state.
+template <typename T>
+uint64_t HashValue(const T& value, uint64_t state) {
+  return Fnv1a(&value, sizeof(value), state);
+}
 
-  options.parallel_build = true;
-  for (const int pool_size : {1, 2, 4}) {
-    SetGlobalThreadPoolSize(pool_size);
-    const data::MortalityDataset parallel =
-        data::MortalityDataset::Build(cohort, extractor, options);
-    const std::string tag = "pool=" + std::to_string(pool_size);
-    EXPECT_EQ(parallel.excluded_zero_concept(), serial.excluded_zero_concept())
-        << tag;
-    EXPECT_EQ(parallel.num_patients(), serial.num_patients()) << tag;
-    ExpectSameVocab(parallel.word_vocab(), serial.word_vocab(),
-                    tag + " word vocab");
-    ExpectSameVocab(parallel.concept_vocab(), serial.concept_vocab(),
-                    tag + " concept vocab");
-    ExpectSameExamples(parallel.train(), serial.train(), tag + " train");
-    ExpectSameExamples(parallel.validation(), serial.validation(),
-                       tag + " validation");
-    ExpectSameExamples(parallel.test(), serial.test(), tag + " test");
-    // The raw count vectors behind the moments must merge in patient order.
-    EXPECT_EQ(parallel.WordStats().mean, serial.WordStats().mean) << tag;
-    EXPECT_EQ(parallel.WordStats().stddev, serial.WordStats().stddev) << tag;
-    EXPECT_EQ(parallel.ConceptStats().mean, serial.ConceptStats().mean) << tag;
-    EXPECT_EQ(parallel.ConceptStats().stddev, serial.ConceptStats().stddev)
-        << tag;
-    for (synth::Horizon horizon : synth::kAllHorizons) {
-      EXPECT_EQ(parallel.CountPositive(horizon), serial.CountPositive(horizon))
-          << tag;
+/// Folds a length-prefixed int sequence into an FNV-1a state.
+uint64_t HashInts(const std::vector<int>& values, uint64_t state) {
+  state = HashValue(static_cast<uint64_t>(values.size()), state);
+  return Fnv1a(values.data(), values.size() * sizeof(int), state);
+}
+
+uint64_t HashVocab(const text::Vocabulary& vocab, uint64_t state) {
+  state = HashValue(vocab.size(), state);
+  for (int id = 0; id < vocab.size(); ++id) {
+    const std::string& token = vocab.TokenOf(id);
+    state = HashValue(static_cast<uint64_t>(token.size()), state);
+    state = Fnv1a(token.data(), token.size(), state);
+    state = HashValue(vocab.Frequency(id), state);
+  }
+  return state;
+}
+
+uint64_t HashSplit(const std::vector<data::Example>& split, uint64_t state) {
+  state = HashValue(static_cast<uint64_t>(split.size()), state);
+  for (const data::Example& example : split) {
+    state = HashValue(example.patient_id, state);
+    state = HashInts(example.word_ids, state);
+    state = HashInts(example.concept_ids, state);
+    for (const bool label : example.labels) {
+      state = HashValue(static_cast<uint8_t>(label), state);
     }
   }
+  return state;
+}
+
+/// The built dataset's bytes: exclusion count, both vocabularies (tokens and
+/// frequencies in id order), every split's examples in order, and the raw
+/// per-patient count moments (which pin the merge order of the count
+/// vectors).
+uint64_t DatasetFingerprint(const data::MortalityDataset& dataset) {
+  uint64_t state = HashValue(dataset.excluded_zero_concept(), kFnv1aSeed);
+  state = HashVocab(dataset.word_vocab(), state);
+  state = HashVocab(dataset.concept_vocab(), state);
+  state = HashSplit(dataset.train(), state);
+  state = HashSplit(dataset.validation(), state);
+  state = HashSplit(dataset.test(), state);
+  for (const data::MomentStats& stats :
+       {dataset.WordStats(), dataset.ConceptStats()}) {
+    state = HashValue(stats.mean, state);
+    state = HashValue(stats.stddev, state);
+  }
+  return state;
+}
+
+/// A trained run's bytes: every parameter in registration order, then every
+/// curve point's train loss, validation loss and validation AUC.
+uint64_t TrainingFingerprint(const models::NeuralDocumentModel& model,
+                             const std::vector<eval::CurvePoint>& curve) {
+  uint64_t state = kFnv1aSeed;
+  for (const ag::NodePtr& param : model.params().all()) {
+    const Tensor& value = param->value();
+    state = Fnv1a(value.data(), value.size() * sizeof(float), state);
+  }
+  for (const eval::CurvePoint& point : curve) {
+    state = HashValue(point.train_loss, state);
+    state = HashValue(point.validation_loss, state);
+    state = HashValue(point.validation_auc, state);
+  }
+  return state;
+}
+
+std::string Hex(uint64_t value) {
+  char buffer[19];
+  std::snprintf(buffer, sizeof(buffer), "0x%016llx",
+                static_cast<unsigned long long>(value));
+  return buffer;
 }
 
 // ---------------------------------------------------------------------------
@@ -227,8 +253,7 @@ TEST(InferenceModeTest, ValuesBitwiseEqualWithNoTapeAndBackwardRefused) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end training golden: the job graph, assembly overlap, and fused
-// eval change wall-clock only — never a trained bit.
+// End-to-end goldens on one shared small fixture.
 // ---------------------------------------------------------------------------
 
 class TrainingPipelineTest : public ::testing::Test {
@@ -239,10 +264,15 @@ class TrainingPipelineTest : public ::testing::Test {
     config.num_patients = 120;
     config.seed = 91;
     cohort_ = synth::Cohort::Generate(config, kb_);
+    dataset_ = data::MortalityDataset::Build(cohort_, extractor_,
+                                             DatasetOptionsForFixture());
+  }
+
+  static data::DatasetOptions DatasetOptionsForFixture() {
     data::DatasetOptions options;
     options.max_words = 48;
     options.max_concepts = 24;
-    dataset_ = data::MortalityDataset::Build(cohort_, extractor_, options);
+    return options;
   }
 
   models::ModelConfig ModelConfigForDataset() const {
@@ -255,57 +285,45 @@ class TrainingPipelineTest : public ::testing::Test {
     return config;
   }
 
-  struct RunResult {
-    std::vector<Tensor> params;
-    std::vector<eval::CurvePoint> curve;
-  };
-
-  RunResult TrainOnce(const std::string& model_name,
-                      const core::TrainOptions& options) {
-    std::unique_ptr<models::NeuralDocumentModel> model =
-        core::MakeDeepModel(model_name, ModelConfigForDataset());
-    core::Trainer trainer(options);
-    const eval::CurveRecorder recorder =
-        trainer.Train(model.get(), dataset_.train(), dataset_.validation(),
-                      synth::Horizon::kInHospital);
-    RunResult result;
-    for (const ag::NodePtr& param : model->params().all()) {
-      result.params.push_back(param->value());
-    }
-    result.curve = recorder.points();
-    return result;
-  }
-
+  /// Four gradient chunks per batch: with two, any merge order gives the
+  /// same bits (a + b == b + a), so a schedule-dependent merge could pass.
   static core::TrainOptions BaseOptions() {
     core::TrainOptions options;
     options.epochs = 3;
     options.batch_size = 16;
+    options.grad_chunk_size = 4;
     options.seed = 13;
     options.num_threads = 1;
     return options;
   }
 
-  static void ExpectSameRun(const RunResult& actual, const RunResult& expected,
-                            const std::string& tag) {
-    ASSERT_EQ(actual.params.size(), expected.params.size()) << tag;
-    for (size_t i = 0; i < actual.params.size(); ++i) {
-      ASSERT_TRUE(actual.params[i].SameShape(expected.params[i])) << tag;
-      EXPECT_EQ(std::memcmp(actual.params[i].data(), expected.params[i].data(),
-                            actual.params[i].size() * sizeof(float)),
-                0)
-          << tag << " param " << i;
-    }
-    ASSERT_EQ(actual.curve.size(), expected.curve.size()) << tag;
-    for (size_t i = 0; i < actual.curve.size(); ++i) {
-      EXPECT_EQ(actual.curve[i].epoch, expected.curve[i].epoch) << tag;
-      EXPECT_EQ(actual.curve[i].train_loss, expected.curve[i].train_loss)
-          << tag << " epoch " << i + 1;
-      EXPECT_EQ(actual.curve[i].validation_loss,
-                expected.curve[i].validation_loss)
-          << tag << " epoch " << i + 1;
-      EXPECT_EQ(actual.curve[i].validation_auc,
-                expected.curve[i].validation_auc)
-          << tag << " epoch " << i + 1;
+  /// Trains a fresh `model_name` and returns the run's TrainingFingerprint.
+  uint64_t TrainFingerprint(const std::string& model_name,
+                            const core::TrainOptions& options) {
+    std::unique_ptr<models::NeuralDocumentModel> model =
+        core::MakeDeepModel(model_name, ModelConfigForDataset());
+    const eval::CurveRecorder recorder = core::Trainer(options).Train(
+        model.get(), dataset_.train(), dataset_.validation(),
+        synth::Horizon::kInHospital);
+    return TrainingFingerprint(*model, recorder.points());
+  }
+
+  /// The golden check: the same fingerprint at 1, 2 and 4 threads (trainer
+  /// pool and global pool alike) under both the dispatched and the scalar
+  /// GEMM.
+  void ExpectTrainingGolden(const std::string& model_name, uint64_t golden) {
+    PoolSizeGuard pool_guard;
+    GemmKernelGuard kernel_guard;
+    for (const GemmKernel kernel : {GemmKernel::kAuto, GemmKernel::kScalar}) {
+      SetGemmKernel(kernel);
+      for (const int threads : {1, 2, 4}) {
+        SetGlobalThreadPoolSize(threads);
+        core::TrainOptions options = BaseOptions();
+        options.num_threads = threads;
+        EXPECT_EQ(Hex(TrainFingerprint(model_name, options)), Hex(golden))
+            << model_name << " kernel=" << GemmKernelName(kernel)
+            << " threads=" << threads;
+      }
     }
   }
 
@@ -315,78 +333,116 @@ class TrainingPipelineTest : public ::testing::Test {
   data::MortalityDataset dataset_;
 };
 
-TEST_F(TrainingPipelineTest, JobGraphWeightsMatchLegacyForkJoinGolden) {
-  // Golden: the legacy fork/join path, single-threaded, no overlap.
-  core::TrainOptions golden_options = BaseOptions();
-  golden_options.use_job_graph = false;
-  golden_options.prefetch = false;
-  const RunResult golden = TrainOnce("BK-DDN", golden_options);
-  ASSERT_FALSE(golden.params.empty());
-  for (const bool prefetch : {false, true}) {
-    for (const int threads : {1, 2, 4}) {
-      core::TrainOptions options = BaseOptions();
-      options.use_job_graph = true;
-      options.prefetch = prefetch;
-      options.num_threads = threads;
-      ExpectSameRun(TrainOnce("BK-DDN", options), golden,
-                    "graph prefetch=" + std::to_string(prefetch) +
-                        " threads=" + std::to_string(threads));
-    }
+TEST_F(TrainingPipelineTest, DatasetMatchesGoldenAtEveryPoolSize) {
+  PoolSizeGuard guard;
+  EXPECT_EQ(Hex(DatasetFingerprint(dataset_)), Hex(kDatasetGolden));
+  for (const int pool_size : {1, 2, 4}) {
+    SetGlobalThreadPoolSize(pool_size);
+    const data::MortalityDataset built = data::MortalityDataset::Build(
+        cohort_, extractor_, DatasetOptionsForFixture());
+    EXPECT_EQ(Hex(DatasetFingerprint(built)), Hex(kDatasetGolden))
+        << "pool=" << pool_size;
   }
-  // The legacy path itself must also be schedule-independent.
-  core::TrainOptions legacy = BaseOptions();
-  legacy.use_job_graph = false;
-  legacy.num_threads = 4;
-  ExpectSameRun(TrainOnce("BK-DDN", legacy), golden, "legacy threads=4");
 }
 
-TEST_F(TrainingPipelineTest, FusedEvalCurvesMatchTwoPassBitwise) {
-  // BK-DDN exercises the frozen-snapshot route, Text CNN the generic
-  // inference-mode graph route — both must reproduce the double pass's
-  // curve (and, through best-epoch selection, its final weights) exactly.
-  for (const std::string model_name : {"BK-DDN", "Text CNN"}) {
-    core::TrainOptions two_pass = BaseOptions();
-    two_pass.fused_eval = false;
-    core::TrainOptions fused = BaseOptions();
-    fused.fused_eval = true;
-    ExpectSameRun(TrainOnce(model_name, fused), TrainOnce(model_name, two_pass),
-                  "fused eval " + model_name);
-  }
+TEST_F(TrainingPipelineTest, BkDdnTrainingMatchesGolden) {
+  ExpectTrainingGolden("BK-DDN", kBkDdnGolden);
+}
+
+TEST_F(TrainingPipelineTest, AkDdnTrainingMatchesGolden) {
+  ExpectTrainingGolden("AK-DDN", kAkDdnGolden);
+}
+
+TEST_F(TrainingPipelineTest, TextCnnTrainingMatchesGolden) {
+  ExpectTrainingGolden("Text CNN", kTextCnnGolden);
 }
 
 TEST_F(TrainingPipelineTest, ResumeMidRunWithPrefetchIsBitwiseExact) {
+  PoolSizeGuard guard;
+  SetGlobalThreadPoolSize(4);
   core::TrainOptions straight = BaseOptions();
-  straight.prefetch = true;
   straight.num_threads = 4;
-  const RunResult golden = TrainOnce("BK-DDN", straight);
+  ASSERT_EQ(Hex(TrainFingerprint("BK-DDN", straight)), Hex(kBkDdnGolden));
 
   // Interrupted twin: stop after epoch 2, then resume to the full horizon.
+  // Batch k+1 is assembled while step k runs, so the stop lands with a
+  // batch in flight.
   core::TrainOptions interrupted = straight;
-  interrupted.checkpoint_dir = ScratchDir("resume_prefetch");
+  interrupted.checkpoint_dir = ScratchDir("resume_mid_run");
   interrupted.epochs = 2;
-  TrainOnce("BK-DDN", interrupted);
+  TrainFingerprint("BK-DDN", interrupted);
   interrupted.epochs = straight.epochs;
   interrupted.resume = true;
-  ExpectSameRun(TrainOnce("BK-DDN", interrupted), golden, "resume");
+  EXPECT_EQ(Hex(TrainFingerprint("BK-DDN", interrupted)), Hex(kBkDdnGolden));
   std::filesystem::remove_all(interrupted.checkpoint_dir);
 }
 
+// Cross-kernel equivalence runs on the pipeline fixture under its own suite.
+using TrainingEquivalenceTest = TrainingPipelineTest;
+
+/// Cross-kernel resume: a checkpoint written while training under the
+/// scalar reference must resume under the dispatched SIMD kernel and land
+/// on the golden. A snapshot can migrate between hosts (or builds) with
+/// different ISAs and training history never forks.
+TEST_F(TrainingEquivalenceTest, ScalarCheckpointResumesBitwiseUnderSimd) {
+  GemmKernelGuard guard;
+  core::TrainOptions checkpointed = BaseOptions();
+  checkpointed.checkpoint_dir = ScratchDir("cross_kernel_resume");
+
+  // Epochs 1-2 under the scalar reference, "crash" at the start of epoch 3.
+  SetGemmKernel(GemmKernel::kScalar);
+  {
+    FaultInjector::ScopedFault kill("core.train.epoch", /*fail_on_hit=*/2);
+    EXPECT_THROW(TrainFingerprint("BK-DDN", checkpointed), KddnError);
+  }
+  ASSERT_TRUE(std::filesystem::exists(
+      core::CheckpointPath(checkpointed.checkpoint_dir)));
+
+  // Resume epoch 3 under the SIMD kernel.
+  SetGemmKernel(GemmKernel::kAuto);
+  checkpointed.resume = true;
+  EXPECT_EQ(Hex(TrainFingerprint("BK-DDN", checkpointed)), Hex(kBkDdnGolden));
+  std::filesystem::remove_all(checkpointed.checkpoint_dir);
+}
+
+/// EvaluateSplit against a two-pass reference computed here through the
+/// training graph: pass one takes each example's cross-entropy, pass two its
+/// positive-class probability, then the mean and the ROC AUC. BK-DDN covers
+/// the frozen-snapshot route, Text CNN the inference-mode graph route.
 TEST_F(TrainingPipelineTest, EvaluateSplitMatchesTwoPassStatics) {
+  const synth::Horizon horizon = synth::Horizon::kInHospital;
   core::TrainOptions options = BaseOptions();
   options.epochs = 1;
+  for (const std::string model_name : {"BK-DDN", "Text CNN"}) {
+    std::unique_ptr<models::NeuralDocumentModel> model =
+        core::MakeDeepModel(model_name, ModelConfigForDataset());
+    core::Trainer(options).Train(model.get(), dataset_.train(),
+                                 dataset_.validation(), horizon);
+    const std::vector<data::Example>& split = dataset_.test();
+    const std::vector<int> labels = core::Trainer::Labels(split, horizon);
+    nn::ForwardContext ctx;
+    ctx.training = false;
+    double total_loss = 0.0;
+    for (size_t i = 0; i < split.size(); ++i) {
+      total_loss += ag::ScalarValue(ag::SoftmaxCrossEntropy(
+          model->Logits(split[i], ctx), labels[i]));
+    }
+    std::vector<float> scores;
+    for (const data::Example& example : split) {
+      scores.push_back(model->PredictPositiveProbability(example));
+    }
+    const core::Trainer::EvalMetrics metrics =
+        core::Trainer::EvaluateSplit(model.get(), split, horizon);
+    EXPECT_EQ(metrics.mean_loss,
+              total_loss / static_cast<double>(split.size()))
+        << model_name;
+    EXPECT_EQ(metrics.auc, eval::RocAuc(scores, labels)) << model_name;
+  }
+
+  // Degenerate splits: the empty split reports {0.0, 0.5}, a one-class
+  // split chance-level AUC.
   std::unique_ptr<models::NeuralDocumentModel> model =
       core::MakeDeepModel("BK-DDN", ModelConfigForDataset());
-  core::Trainer(options).Train(model.get(), dataset_.train(),
-                               dataset_.validation(),
-                               synth::Horizon::kInHospital);
-  const core::Trainer::EvalMetrics metrics = core::Trainer::EvaluateSplit(
-      model.get(), dataset_.test(), synth::Horizon::kInHospital);
-  EXPECT_EQ(metrics.auc,
-            core::Trainer::EvaluateAuc(model.get(), dataset_.test(),
-                                       synth::Horizon::kInHospital));
-  EXPECT_GT(metrics.mean_loss, 0.0);
-
-  // Degenerate splits report what the two-pass route reports.
   const core::Trainer::EvalMetrics empty = core::Trainer::EvaluateSplit(
       model.get(), {}, synth::Horizon::kInHospital);
   EXPECT_EQ(empty.mean_loss, 0.0);

@@ -12,12 +12,17 @@
 #include "kb/concept_extractor.h"
 #include "nn/layers.h"
 #include "tensor/tensor_ops.h"
-#include "testing/gradient_check.h"
+#include "testing/grad_check.h"
 #include "text/lemmatizer.h"
 #include "viz/tsne.h"
 
 namespace kddn {
 namespace {
+
+/// Central-difference settings for the gradient checks below: step 1e-3,
+/// relative tolerance 2e-2 over a scale floor of 1.
+constexpr testing::GradCheckOptions kFiniteDifference{
+    .epsilon = 1e-3f, .rel_tolerance = 2e-2f, .denom_floor = 1.0f};
 
 // ---------------------------------------------------------------------------
 // MatMul family: (A B)ᵀ == Bᵀ Aᵀ and the fused variants agree with the
@@ -48,12 +53,12 @@ TEST_P(MatMulPropertyTest, GradientsCheckNumerically) {
       ag::Node::Leaf(RandomNormal({m, k}, 0, 1, &rng), true, "a");
   ag::NodePtr b =
       ag::Node::Leaf(RandomNormal({k, n}, 0, 1, &rng), true, "b");
-  testing::ExpectGradientsMatchFiniteDifference(
+  testing::ExpectGradCheck(
       [&] {
         ag::NodePtr p = ag::MatMul(a, b);
         return ag::MeanAll(ag::Mul(p, p));
       },
-      {a, b});
+      {a, b}, kFiniteDifference);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -242,7 +247,7 @@ TEST_P(AucPropertyTest, MatchesPairwiseDefinitionWithHeavyTies) {
 TEST(AucDegenerateTest, SingleClassReturnsChance) {
   // No (positive, negative) pair exists, so the pairwise definition is
   // vacuous; RocAuc documents 0.5 (chance) for this case, matching
-  // core::Trainer::EvaluateAuc on one-class splits.
+  // core::Trainer::EvaluateSplit on one-class splits.
   EXPECT_DOUBLE_EQ(eval::RocAuc({0.2f, 0.9f, 0.4f}, {1, 1, 1}), 0.5);
   EXPECT_DOUBLE_EQ(eval::RocAuc({0.2f, 0.9f, 0.4f}, {0, 0, 0}), 0.5);
   EXPECT_DOUBLE_EQ(eval::RocAuc({0.7f}, {0}), 0.5);

@@ -325,7 +325,7 @@ TEST_P(ResumeDeterminismTest, ResumedRunMatchesStraightRunBitwise) {
   eval::CurveRecorder straight_curve =
       core::Trainer(options).Train(straight.get(), train, validation, horizon);
   const double straight_auc =
-      core::Trainer::EvaluateAuc(straight.get(), test, horizon);
+      core::Trainer::EvaluateSplit(straight.get(), test, horizon).auc;
 
   // "Crash" at the start of epoch 5: epochs 1-4 completed and checkpointed.
   core::TrainOptions checkpointed = options;
@@ -361,7 +361,7 @@ TEST_P(ResumeDeterminismTest, ResumedRunMatchesStraightRunBitwise) {
           .Train(resumed.get(), train, validation, horizon);
 
   ExpectSameParams(resumed->params(), straight->params());
-  EXPECT_EQ(core::Trainer::EvaluateAuc(resumed.get(), test, horizon),
+  EXPECT_EQ(core::Trainer::EvaluateSplit(resumed.get(), test, horizon).auc,
             straight_auc);
   ASSERT_EQ(resumed_curve.points().size(), straight_curve.points().size());
   for (size_t i = 0; i < straight_curve.points().size(); ++i) {

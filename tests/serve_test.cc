@@ -108,13 +108,14 @@ class PoolSizeGuard {
 // ---------------------------------------------------------------------------
 // Golden predictions: FrozenModel == autograd forward, bitwise, for both
 // model kinds, at several thread counts, direct and through the engine at
-// several batch shapes.
+// several batch shapes. The model name is a std::string rather than a
+// const char* so the test IDs print its value, not a per-process address.
 // ---------------------------------------------------------------------------
 class GoldenPredictionTest
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {
  protected:
   models::NeuralDocumentModel* Model() const {
-    return std::string(std::get<0>(GetParam())) == "BK-DDN"
+    return std::get<0>(GetParam()) == "BK-DDN"
                ? static_cast<models::NeuralDocumentModel*>(World().bk.get())
                : static_cast<models::NeuralDocumentModel*>(World().ak.get());
   }
@@ -164,7 +165,8 @@ TEST_P(GoldenPredictionTest, EngineMatchesAutogradAtEveryBatchShape) {
 
 INSTANTIATE_TEST_SUITE_P(
     ModelsAndThreads, GoldenPredictionTest,
-    ::testing::Combine(::testing::Values("BK-DDN", "AK-DDN"),
+    ::testing::Combine(::testing::Values(std::string("BK-DDN"),
+                                         std::string("AK-DDN")),
                        ::testing::Values(1, 2, 4)));
 
 // ---------------------------------------------------------------------------
