@@ -16,7 +16,7 @@
 //  * External target: load-test an already-running server (e.g. one started
 //    with run_experiment --http_port) and print the report.
 //
-//      ./build/bench/kddn_loadgen --port=8080 --requests=2000 \
+//      ./build/bench/kddn_loadgen --port=8080 --requests=2000
 //          --concurrency=8 --qps=200
 //
 //  * Hot-swap bench (--swap_json): trains TWO snapshots, serves A behind a
@@ -176,6 +176,7 @@ int RunSelfHostedBench(const Flags& flags) {
       << "  \"single_core_host\": "
       << (std::thread::hardware_concurrency() <= 1 ? "true" : "false")
       << ",\n"
+      << "  \"build_type\": \"" << KDDN_BUILD_TYPE << "\",\n"
       << "  \"model\": \"" << frozen.name() << "\",\n"
       << "  \"scores_bitwise_equal\": " << (bitwise ? "true" : "false")
       << ",\n"
@@ -437,6 +438,7 @@ int RunSwapBench(const Flags& flags) {
       << "  \"single_core_host\": "
       << (std::thread::hardware_concurrency() <= 1 ? "true" : "false")
       << ",\n"
+      << "  \"build_type\": \"" << KDDN_BUILD_TYPE << "\",\n"
       << "  \"model\": \"" << frozen_a.name() << "\",\n"
       << "  \"fingerprint_a\": \"" << serve::FingerprintToHex(fp_a)
       << "\",\n"

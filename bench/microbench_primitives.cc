@@ -27,8 +27,9 @@
 //
 // Run with --jobs_json[=path] to emit BENCH_jobs.json: the job-graph
 // executor's overlap speedup over the fork/join barrier schedule on a
-// staged pipeline at pool size 2, plus steady-state jobs/sec across reused
-// generations (DESIGN.md §14). Gated by scripts/check_bench.py.
+// staged pipeline at pool size 2 (the median ratio over interleaved pairs),
+// plus steady-state jobs/sec across reused generations (DESIGN.md §14).
+// Gated by scripts/check_bench.py.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -181,6 +182,7 @@ void WriteHostFields(std::ofstream& out) {
   out << "  \"single_core_host\": " << (SingleCoreHost() ? "true" : "false")
       << ",\n";
   out << "  \"simd_isa\": \"" << ActiveGemmIsa() << "\",\n";
+  out << "  \"build_type\": \"" << KDDN_BUILD_TYPE << "\",\n";
 }
 
 void WriteJsonSection(std::ofstream& out, const char* name,
@@ -712,9 +714,13 @@ uint64_t JobsBenchMix(uint64_t z) {
 /// chain, so stage s of a fast chain overlaps stage s-1 of a slow one and
 /// the whole iteration costs one pool round-trip instead of kStages. The
 /// gain comes from removed synchronisation, so it holds even on a
-/// single-core host. `graph_matches_barrier_output` asserts both schedules
-/// produce identical bytes; `steady_state_jobs_per_sec` is the graph path's
-/// sustained rate across reused generations.
+/// single-core host. The two schedules run as kPairs back-to-back pairs,
+/// alternating which goes first, and `overlap_speedup` is the median of the
+/// per-pair ratios: a slow stretch of a shared host then slows both sides
+/// of a pair instead of deciding which side wins.
+/// `graph_matches_barrier_output` asserts both schedules produce identical
+/// bytes in every pair; `steady_state_jobs_per_sec` is the graph path's
+/// sustained rate across reused generations at its median time.
 int RunJobsBench(const std::string& out_path) {
   // --- Overlap microbench: barrier vs graph at pool size 2 ----------------
   SetGlobalThreadPoolSize(2);
@@ -748,8 +754,7 @@ int RunJobsBench(const std::string& out_path) {
     }
   };
 
-  reset_cells();
-  const double barrier_s = BestSeconds(5, [&] {
+  const auto run_barrier = [&] {
     for (int iteration = 0; iteration < kIterations; ++iteration) {
       for (int s = 0; s < kStages; ++s) {
         GlobalThreadPool().ParallelFor(kChains, [&, s](int64_t c) {
@@ -757,8 +762,7 @@ int RunJobsBench(const std::string& out_path) {
         });
       }
     }
-  });
-  const std::vector<std::array<uint64_t, kChains>> barrier_cells = cells;
+  };
 
   jobs::JobGraph graph;
   std::array<jobs::JobId, kChains> previous{};
@@ -774,20 +778,45 @@ int RunJobsBench(const std::string& out_path) {
   }
   graph.Finalize();
   jobs::JobExecutor executor(&GlobalThreadPool());
-  reset_cells();
-  const double graph_s = BestSeconds(5, [&] {
+  const auto run_graph = [&] {
     for (int iteration = 0; iteration < kIterations; ++iteration) {
       executor.Run(&graph);
     }
-  });
-  const bool outputs_identical = cells == barrier_cells;
-  const double overlap_speedup = barrier_s / graph_s;
-  const double jobs_per_sec =
-      static_cast<double>(kStages) * kChains * kIterations / graph_s;
-  std::printf("overlap barrier=%.4fs graph=%.4fs (%.2fx, %.0f jobs/s) "
-              "identical=%s\n",
-              barrier_s, graph_s, overlap_speedup, jobs_per_sec,
-              outputs_identical ? "yes" : "NO");
+  };
+
+  constexpr int kPairs = 21;
+  std::vector<double> barrier_s, graph_s, ratios;
+  bool outputs_identical = true;
+  for (int pair = 0; pair < kPairs; ++pair) {
+    double barrier_time = 0.0, graph_time = 0.0;
+    std::vector<std::array<uint64_t, kChains>> barrier_out, graph_out;
+    for (int turn = 0; turn < 2; ++turn) {
+      reset_cells();
+      if ((pair + turn) % 2 == 0) {
+        barrier_time = BestSeconds(1, run_barrier);
+        barrier_out = cells;
+      } else {
+        graph_time = BestSeconds(1, run_graph);
+        graph_out = cells;
+      }
+    }
+    outputs_identical = outputs_identical && barrier_out == graph_out;
+    barrier_s.push_back(barrier_time);
+    graph_s.push_back(graph_time);
+    ratios.push_back(barrier_time / graph_time);
+  }
+  const auto quantile = [](std::vector<double> values, double q) {
+    std::sort(values.begin(), values.end());
+    return values[static_cast<size_t>(q * (values.size() - 1) + 0.5)];
+  };
+  const double overlap_speedup = quantile(ratios, 0.5);
+  const double jobs_per_sec = static_cast<double>(kStages) * kChains *
+                              kIterations / quantile(graph_s, 0.5);
+  std::printf("overlap over %d pairs: barrier=%.4fs graph=%.4fs (median "
+              "ratio %.2fx, quartiles %.2f-%.2f, %.0f jobs/s) identical=%s\n",
+              kPairs, quantile(barrier_s, 0.5), quantile(graph_s, 0.5),
+              overlap_speedup, quantile(ratios, 0.25), quantile(ratios, 0.75),
+              jobs_per_sec, outputs_identical ? "yes" : "NO");
 
   std::ofstream out(out_path);
   if (!out.is_open()) {
@@ -799,9 +828,13 @@ int RunJobsBench(const std::string& out_path) {
   out << "  \"config\": {\"stages\": " << kStages
       << ", \"chains\": " << kChains << ", \"iterations\": " << kIterations
       << ", \"pool_threads\": 2},\n";
-  out << "  \"overlap_seconds\": {\"barrier\": " << barrier_s
-      << ", \"graph\": " << graph_s << "},\n";
+  out << "  \"overlap_pairs\": " << kPairs << ",\n";
+  out << "  \"overlap_median_seconds\": {\"barrier\": "
+      << quantile(barrier_s, 0.5) << ", \"graph\": " << quantile(graph_s, 0.5)
+      << "},\n";
   out << "  \"overlap_speedup\": " << overlap_speedup << ",\n";
+  out << "  \"overlap_speedup_quartiles\": [" << quantile(ratios, 0.25)
+      << ", " << quantile(ratios, 0.75) << "],\n";
   out << "  \"steady_state_jobs_per_sec\": " << jobs_per_sec << ",\n";
   out << "  \"graph_matches_barrier_output\": "
       << (outputs_identical ? "true" : "false") << "\n";

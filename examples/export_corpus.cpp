@@ -2,7 +2,7 @@
 // tooling (notebooks, other model implementations) can consume exactly the
 // same data:
 //
-//   ./build/examples/export_corpus --corpus=rad --patients=500 \
+//   ./build/examples/export_corpus --corpus=rad --patients=500
 //       --out=corpus.jsonl --kb-out=ontology.tsv
 //
 // The JSONL carries one patient per line (id, age, outcome, disease CUIs,

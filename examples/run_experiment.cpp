@@ -1,8 +1,8 @@
 // Configurable experiment runner — a CLI over the full pipeline, useful for
 // sweeping settings without recompiling:
 //
-//   ./build/examples/run_experiment --corpus=nursing --model=AK-DDN \
-//       --horizon=30 --patients=1200 --epochs=6 --embedding-dim=20 \
+//   ./build/examples/run_experiment --corpus=nursing --model=AK-DDN
+//       --horizon=30 --patients=1200 --epochs=6 --embedding-dim=20
 //       --filters=50 --seed=42 --save=akddn.ckpt
 //
 // Flags: --corpus {nursing,rad}, --model (any Table V row name, deep models
@@ -24,7 +24,7 @@
 // in-process load generator measures the server instead (train, serve, and
 // load-test in one process) and exits:
 //
-//   ./build/examples/run_experiment --model=BK-DDN --epochs=2 \
+//   ./build/examples/run_experiment --model=BK-DDN --epochs=2
 //       --http_port=0 --http_requests=200 --http_concurrency=4
 //
 // Crash safety: --checkpoint_dir <dir> checkpoints the trainer atomically
@@ -32,9 +32,9 @@
 // with --resume after an interruption restarts from the last checkpoint and
 // produces bitwise-identical weights to the uninterrupted run:
 //
-//   ./build/examples/run_experiment --model=AK-DDN --epochs=8 \
+//   ./build/examples/run_experiment --model=AK-DDN --epochs=8
 //       --checkpoint_dir=ckpt            # killed mid-run...
-//   ./build/examples/run_experiment --model=AK-DDN --epochs=8 \
+//   ./build/examples/run_experiment --model=AK-DDN --epochs=8
 //       --checkpoint_dir=ckpt --resume   # ...finishes the same run
 #include <cstdio>
 #include <future>

@@ -4,6 +4,9 @@
 Re-recording a bench on a slower host changes every absolute wall-clock
 number, so this guard checks only the properties every host must uphold:
 
+* every artifact names its host and build: hardware_concurrency and
+  build_type, so a number is never read without the machine and the
+  optimisation level that produced it;
 * correctness flags that the deterministic kernels promise unconditionally
   must be true: BENCH_train.json simd_vs_scalar_bitwise_identical,
   BENCH_serve.json bitwise_match, BENCH_http.json scores_bitwise_equal,
@@ -17,7 +20,8 @@ number, so this guard checks only the properties every host must uphold:
   (simd_vs_scalar_speedup >= 1.0);
 * BENCH_jobs.json overlap_speedup >= 1.0: the job graph must never lose
   to the fork/join barrier schedule it is measured against on the same
-  host;
+  host (the median ratio over interleaved pairs, so a noisy stretch of a
+  shared host cannot decide it);
 * HTTP and swap invariants: ordered latency percentiles, a bounded shed
   rate, zero failed requests during a swap, a bounded tail inflation, and
   at least one injected fault;
@@ -69,7 +73,20 @@ def check_artifact(errors, path, checker):
     except json.JSONDecodeError as error:
         fail(errors, path.name, f"unparseable JSON: {error}")
         return
+    count = data.get("hardware_concurrency")
+    if not isinstance(count, int) or count < 1:
+        fail(errors, path.name, "missing positive integer "
+             "'hardware_concurrency'")
+    build_type = data.get("build_type")
+    if not isinstance(build_type, str) or not build_type:
+        fail(errors, path.name, "missing non-empty string 'build_type'")
     checker(errors, path.name, data)
+
+
+def check_parallel(errors, name, data):
+    # Thread-scaling ratios are informational (see the module docstring);
+    # only the host fields checked for every artifact are required.
+    pass
 
 
 def check_train(errors, name, data):
@@ -226,6 +243,8 @@ def main():
     check_artifact(errors, args.repo_root / "BENCH_trace.json", check_trace)
     check_artifact(errors, args.repo_root / "BENCH_swap.json", check_swap)
     check_artifact(errors, args.repo_root / "BENCH_jobs.json", check_jobs)
+    check_artifact(errors, args.repo_root / "BENCH_parallel.json",
+                   check_parallel)
 
     if errors:
         for error in errors:

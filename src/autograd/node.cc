@@ -9,17 +9,8 @@ namespace kddn::ag {
 namespace {
 
 thread_local GradSink* t_grad_sink = nullptr;
-thread_local bool t_inference_mode = false;
 
 }  // namespace
-
-InferenceModeScope::InferenceModeScope() : previous_(t_inference_mode) {
-  t_inference_mode = true;
-}
-
-InferenceModeScope::~InferenceModeScope() { t_inference_mode = previous_; }
-
-bool InferenceModeEnabled() { return t_inference_mode; }
 
 void SparseRows::MarkRows(const std::vector<int>& ids, int num_rows) {
   if (state_ == State::kDense) {
@@ -179,17 +170,6 @@ NodePtr Node::Op(std::string name, Tensor value, std::vector<NodePtr> parents,
   auto node = std::shared_ptr<Node>(new Node());
   node->name_ = std::move(name);
   node->value_ = std::move(value);
-  if (t_inference_mode) {
-    // Value-only node: the forward value was already computed by the caller,
-    // so dropping the parent edges and the backward closure changes no bit of
-    // it — only what is retained. Parents' storage recycles as soon as their
-    // last consumer returns.
-    for (const NodePtr& parent : parents) {
-      KDDN_CHECK(parent != nullptr) << "null parent in op " << node->name_;
-    }
-    node->inference_ = true;
-    return node;
-  }
   node->parents_ = std::move(parents);
   node->backward_ = std::move(backward);
   for (const NodePtr& parent : node->parents_) {
@@ -290,8 +270,6 @@ void TopoSort(const NodePtr& root, std::vector<Node*>* order) {
 
 void Backward(const NodePtr& root) {
   KDDN_CHECK(root != nullptr);
-  KDDN_CHECK(!InferenceModeEnabled() && !root->inference())
-      << "Backward() on an inference-mode graph: no tape was recorded";
   std::vector<Node*> order;
   TopoSort(root, &order);
   // Interior nodes belong to this graph only, so their gradients are reset

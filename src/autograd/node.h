@@ -15,33 +15,6 @@ namespace kddn::ag {
 class Node;
 using NodePtr = std::shared_ptr<Node>;
 
-/// Thread-local inference mode (the gradient-free forward of DESIGN.md §10).
-/// While a scope is active on a thread, Node::Op builds value-only nodes: no
-/// parent edges, no backward closure, requires_grad() false. The forward
-/// value Tensor is computed by the op before Node::Op runs and is therefore
-/// bit-for-bit the value the full graph would carry; what changes is purely
-/// what is *retained* — intermediates die (and their storage recycles through
-/// the TensorPool) as soon as the ops consuming them return, instead of
-/// living until the root is dropped, and no closure captures (dropout masks,
-/// softmax probs, id buffers) are allocated. Safe because Tensor is value
-/// semantic: no op's output aliases its parents' storage.
-///
-/// Calling Backward() on a root built under inference mode is a programming
-/// error (the tape was never recorded) and CHECK-fails.
-class InferenceModeScope {
- public:
-  InferenceModeScope();
-  ~InferenceModeScope();
-  InferenceModeScope(const InferenceModeScope&) = delete;
-  InferenceModeScope& operator=(const InferenceModeScope&) = delete;
-
- private:
-  bool previous_;
-};
-
-/// True while an InferenceModeScope is active on the calling thread.
-bool InferenceModeEnabled();
-
 /// Records which rows of a rank-2 gradient have been written since the last
 /// Clear(), so merges and optimizer steps can visit only touched rows. An
 /// embedding table sees a few dozen distinct rows per batch out of tens of
@@ -132,10 +105,6 @@ class Node {
   /// True if any leaf beneath this node is trainable.
   bool requires_grad() const { return requires_grad_; }
 
-  /// True if this op node was built under an InferenceModeScope (no tape
-  /// recorded; Backward() from it would silently do nothing, so it CHECKs).
-  bool inference() const { return inference_; }
-
   const std::string& name() const { return name_; }
   const std::vector<NodePtr>& parents() const { return parents_; }
 
@@ -158,7 +127,6 @@ class Node {
   mutable Tensor grad_;  // Lazily sized to match value_.
   SparseRows grad_rows_;
   bool requires_grad_ = false;
-  bool inference_ = false;
   std::vector<NodePtr> parents_;
   std::function<void(Node*)> backward_;
 };

@@ -104,12 +104,7 @@ NodePtr Transpose(const NodePtr& a) {
 
 NodePtr Relu(const NodePtr& a) {
   Tensor out = TensorPool::ThreadLocal().AcquireCopy(Val(a));
-  float* op = out.data();
-  for (int64_t i = 0; i < out.size(); ++i) {
-    if (op[i] < 0.0f) {
-      op[i] = 0.0f;
-    }
-  }
+  kddn::ReluInPlace(&out);
   return Node::Op("relu", std::move(out), {a}, [](Node* self) {
     const NodePtr& a = self->parents()[0];
     if (!a->requires_grad()) {
@@ -196,7 +191,8 @@ NodePtr SliceRows(const NodePtr& x, int begin, int end) {
 }
 
 NodePtr SoftmaxRows(const NodePtr& a) {
-  Tensor out = kddn::SoftmaxRows(Val(a));
+  Tensor out = TensorPool::ThreadLocal().AcquireUninit(Val(a).shape());
+  kddn::SoftmaxRowsInto(&out, Val(a));
   return Node::Op("softmax_rows", std::move(out), {a}, [](Node* self) {
     const NodePtr& a = self->parents()[0];
     if (!a->requires_grad()) {
@@ -261,22 +257,15 @@ NodePtr Concat(const std::vector<NodePtr>& nodes, int axis) {
       }
     }
   } else {
-    const int rows = nodes[0]->value().dim(0);
+    std::vector<const Tensor*> parts;
     int total_cols = 0;
     for (const NodePtr& n : nodes) {
-      KDDN_CHECK_EQ(n->value().dim(0), rows) << "Concat(axis=1) height mismatch";
+      parts.push_back(&n->value());
       total_cols += n->value().dim(1);
     }
-    out = TensorPool::ThreadLocal().AcquireUninit({rows, total_cols});
-    int col = 0;
-    for (const NodePtr& n : nodes) {
-      const Tensor& v = n->value();
-      for (int j = 0; j < v.dim(1); ++j, ++col) {
-        for (int i = 0; i < rows; ++i) {
-          out.at(i, col) = v.at(i, j);
-        }
-      }
-    }
+    out = TensorPool::ThreadLocal().AcquireUninit(
+        {nodes[0]->value().dim(0), total_cols});
+    kddn::ConcatColsInto(&out, parts);
   }
 
   return Node::Op("concat", std::move(out), nodes, [axis, rank](Node* self) {
@@ -337,20 +326,10 @@ NodePtr EmbeddingLookup(const NodePtr& table,
   KDDN_CHECK(ids != nullptr) << "EmbeddingLookup with null id buffer";
   const Tensor& emb = Val(table);
   KDDN_CHECK_EQ(emb.rank(), 2) << "embedding table must be rank-2";
-  KDDN_CHECK(!ids->empty()) << "EmbeddingLookup with empty id list";
-  const int vocab = emb.dim(0), d = emb.dim(1);
+  const int d = emb.dim(1);
   Tensor out =
       TensorPool::ThreadLocal().AcquireUninit({static_cast<int>(ids->size()), d});
-  for (size_t i = 0; i < ids->size(); ++i) {
-    const int id = (*ids)[i];
-    KDDN_CHECK(id >= 0 && id < vocab)
-        << "embedding id " << id << " out of range [0," << vocab << ")";
-    const float* src = emb.data() + static_cast<int64_t>(id) * d;
-    float* dst = out.data() + static_cast<int64_t>(i) * d;
-    for (int j = 0; j < d; ++j) {
-      dst[j] = src[j];
-    }
-  }
+  kddn::GatherRowsInto(&out, emb, *ids);
   return Node::Op("embedding_lookup", std::move(out), {table},
                   [ids, d](Node* self) {
                     const NodePtr& table = self->parents()[0];
@@ -380,15 +359,9 @@ NodePtr Unfold(const NodePtr& x, int width) {
   const int m = v.dim(0), d = v.dim(1);
   KDDN_CHECK_GE(m, width) << "Unfold: " << m << " rows < width " << width
                           << " (pad first)";
-  const int windows = m - width + 1;
-  Tensor out = TensorPool::ThreadLocal().AcquireUninit({windows, width * d});
-  for (int j = 0; j < windows; ++j) {
-    float* dst = out.data() + static_cast<int64_t>(j) * width * d;
-    const float* src = v.data() + static_cast<int64_t>(j) * d;
-    for (int t = 0; t < width * d; ++t) {
-      dst[t] = src[t];
-    }
-  }
+  Tensor out =
+      TensorPool::ThreadLocal().AcquireUninit({m - width + 1, width * d});
+  kddn::UnfoldInto(&out, v, width);
   return Node::Op("unfold", std::move(out), {x}, [width, d](Node* self) {
     const NodePtr& x = self->parents()[0];
     if (!x->requires_grad()) {
@@ -414,14 +387,8 @@ NodePtr PadRows(const NodePtr& x, int min_rows) {
   if (m >= min_rows) {
     return x;
   }
-  // The pad rows must read as zeros, so the zero-filling Acquire is load-
-  // bearing here.
-  Tensor out = TensorPool::ThreadLocal().Acquire({min_rows, d});
-  for (int i = 0; i < m; ++i) {
-    for (int j = 0; j < d; ++j) {
-      out.at(i, j) = v.at(i, j);
-    }
-  }
+  Tensor out = TensorPool::ThreadLocal().AcquireUninit({min_rows, d});
+  kddn::PadRowsInto(&out, v, min_rows);
   return Node::Op("pad_rows", std::move(out), {x}, [m, d](Node* self) {
     const NodePtr& x = self->parents()[0];
     if (!x->requires_grad()) {
@@ -441,20 +408,19 @@ NodePtr MaxOverTime(const NodePtr& x) {
   const Tensor& v = Val(x);
   KDDN_CHECK_EQ(v.rank(), 2) << "MaxOverTime input must be rank-2";
   const int m = v.dim(0), f = v.dim(1);
-  KDDN_CHECK_GT(m, 0) << "MaxOverTime over zero rows";
   Tensor out = TensorPool::ThreadLocal().AcquireUninit({f});
+  kddn::MaxOverTime(v, out.data());
+  // The gradient goes to the row the sweep kept: the first row equal to the
+  // maximum (an earlier row equal to it would have been kept instead), or
+  // row 0 when the maximum is a NaN, which only a NaN in row 0 produces.
   auto argmax = std::make_shared<std::vector<int>>(f, 0);
   for (int j = 0; j < f; ++j) {
-    float best = v.at(0, j);
-    int best_row = 0;
-    for (int i = 1; i < m; ++i) {
-      if (v.at(i, j) > best) {
-        best = v.at(i, j);
-        best_row = i;
+    for (int i = 0; i < m; ++i) {
+      if (v.data()[static_cast<int64_t>(i) * f + j] == out[j]) {
+        (*argmax)[j] = i;
+        break;
       }
     }
-    out[j] = best;
-    (*argmax)[j] = best_row;
   }
   return Node::Op("max_over_time", std::move(out), {x}, [argmax](Node* self) {
     const NodePtr& x = self->parents()[0];
@@ -504,7 +470,8 @@ NodePtr SumAll(const NodePtr& x) {
 }
 
 NodePtr AddRowBroadcast(const NodePtr& x, const NodePtr& row) {
-  Tensor out = kddn::AddRowBroadcast(Val(x), Val(row));
+  Tensor out = TensorPool::ThreadLocal().AcquireCopy(Val(x));
+  kddn::AddRowBroadcastInPlace(&out, Val(row));
   return Node::Op("add_row_broadcast", std::move(out), {x, row},
                   [](Node* self) {
                     const NodePtr& x = self->parents()[0];
@@ -572,46 +539,31 @@ NodePtr Dropout(const NodePtr& x, float rate, bool training, Rng* rng) {
 NodePtr SoftmaxCrossEntropy(const NodePtr& logits, int label) {
   const Tensor& v = Val(logits);
   KDDN_CHECK_EQ(v.rank(), 1) << "SoftmaxCrossEntropy wants rank-1 logits";
-  const int classes = v.dim(0);
-  KDDN_CHECK(label >= 0 && label < classes)
-      << "label " << label << " out of range for " << classes << " classes";
-  const std::vector<float> probs = SoftmaxProbs(v);
+  // The probabilities are recomputed in backward rather than captured: the
+  // softmax of the unchanged logits is the same bits, and both copies come
+  // from and return to the tensor pool.
+  TensorPool& pool = TensorPool::ThreadLocal();
+  Tensor probs = pool.AcquireUninit(v.shape());
+  kddn::SoftmaxInto(&probs, v);
   Tensor out({1});
-  out[0] = -std::log(std::max(probs[label], 1e-12f));
-  auto probs_ptr = std::make_shared<std::vector<float>>(probs);
-  return Node::Op(
-      "softmax_xent", std::move(out), {logits}, [probs_ptr, label](Node* self) {
-        const NodePtr& logits = self->parents()[0];
-        if (!logits->requires_grad()) {
-          return;
-        }
-        Tensor& dx = logits->mutable_grad();
-        const float g = self->grad()[0];
-        for (size_t j = 0; j < probs_ptr->size(); ++j) {
-          const float target = (static_cast<int>(j) == label) ? 1.0f : 0.0f;
-          dx[static_cast<int64_t>(j)] += g * ((*probs_ptr)[j] - target);
-        }
-      });
-}
-
-std::vector<float> SoftmaxProbs(const Tensor& logits) {
-  KDDN_CHECK_EQ(logits.rank(), 1);
-  const int n = logits.dim(0);
-  KDDN_CHECK_GT(n, 0);
-  float max_logit = logits[0];
-  for (int j = 1; j < n; ++j) {
-    max_logit = std::max(max_logit, logits[j]);
-  }
-  std::vector<float> probs(n);
-  double total = 0.0;
-  for (int j = 0; j < n; ++j) {
-    probs[j] = std::exp(logits[j] - max_logit);
-    total += probs[j];
-  }
-  for (int j = 0; j < n; ++j) {
-    probs[j] = static_cast<float>(probs[j] / total);
-  }
-  return probs;
+  out[0] = kddn::CrossEntropyValue(probs, label);
+  pool.Recycle(std::move(probs));
+  return Node::Op("softmax_xent", std::move(out), {logits}, [label](Node* self) {
+    const NodePtr& logits = self->parents()[0];
+    if (!logits->requires_grad()) {
+      return;
+    }
+    TensorPool& pool = TensorPool::ThreadLocal();
+    Tensor probs = pool.AcquireUninit(logits->value().shape());
+    kddn::SoftmaxInto(&probs, logits->value());
+    Tensor& dx = logits->mutable_grad();
+    const float g = self->grad()[0];
+    for (int64_t j = 0; j < probs.size(); ++j) {
+      const float target = (j == label) ? 1.0f : 0.0f;
+      dx[j] += g * (probs[j] - target);
+    }
+    pool.Recycle(std::move(probs));
+  });
 }
 
 }  // namespace kddn::ag

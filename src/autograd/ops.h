@@ -93,12 +93,10 @@ NodePtr Dropout(const NodePtr& x, float rate, bool training, Rng* rng);
 
 /// Softmax + categorical cross-entropy against an integer label for rank-1
 /// logits[C] -> scalar loss. Combining the two keeps the backward pass the
-/// numerically stable (probs - onehot) form.
+/// numerically stable (probs - onehot) form. The forward value is
+/// kddn::CrossEntropyValue of kddn::SoftmaxInto, the pair every prediction
+/// and evaluation path reduces logits with.
 NodePtr SoftmaxCrossEntropy(const NodePtr& logits, int label);
-
-/// Forward-only softmax probabilities for rank-1 logits (no graph edges);
-/// used at prediction time.
-std::vector<float> SoftmaxProbs(const Tensor& logits);
 
 }  // namespace kddn::ag
 

@@ -1,10 +1,10 @@
 #include "core/trainer.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "autograd/ops.h"
@@ -19,6 +19,7 @@
 #include "nn/optimizer.h"
 #include "nn/serialization.h"
 #include "serve/frozen_model.h"
+#include "tensor/tensor_ops.h"
 
 namespace kddn::core {
 namespace {
@@ -348,43 +349,32 @@ Trainer::EvalMetrics Trainer::EvaluateSplit(
   // helpers queued behind the other blocks.
   jobs::JobExecutor executor(pool);
 
-  const std::string name = model->name();
-  if (name == "BK-DDN" || name == "AK-DDN") {
-    // Servable models evaluate through a refreshed frozen snapshot: no graph
-    // nodes at all, per-block Workspace scratch reused across examples. The
-    // snapshot's bitwise contract (serve/frozen_model.h) makes every loss
-    // and score bit-equal to the graph path's.
-    const serve::FrozenModel frozen = serve::FrozenModel::Freeze(*model);
-    executor.ParallelForBlocked(
-        static_cast<int64_t>(split.size()), /*min_block=*/4,
-        [&](int64_t begin, int64_t end) {
-          serve::FrozenModel::Workspace ws;
-          for (int64_t i = begin; i < end; ++i) {
-            const serve::FrozenModel::EvalResult result =
-                frozen.EvalExample(split[i], labels[i], &ws);
-            losses[i] = result.loss;
-            scores[i] = result.score;
-          }
-        });
-  } else {
-    // Generic route: graph forward under inference mode (values only, no
-    // tape), softmax probabilities computed once per example and reduced to
-    // both metrics with the exact arithmetic of ag::SoftmaxCrossEntropy's
-    // forward value and PredictPositiveProbability.
-    executor.ParallelForBlocked(
-        static_cast<int64_t>(split.size()), /*min_block=*/4,
-        [&](int64_t begin, int64_t end) {
-          ag::InferenceModeScope inference;
-          nn::ForwardContext ctx;
-          ctx.training = false;
-          for (int64_t i = begin; i < end; ++i) {
-            const std::vector<float> probs =
-                ag::SoftmaxProbs(model->Logits(split[i], ctx)->value());
-            losses[i] = -std::log(std::max(probs[labels[i]], 1e-12f));
-            scores[i] = probs[1];
-          }
-        });
+  // Servable models evaluate through a refreshed frozen snapshot: no graph
+  // nodes at all, per-block Workspace scratch reused across examples, and
+  // the snapshot's bitwise contract (serve/frozen_model.h) makes its logits
+  // those of the graph. Every other model runs its plain graph forward.
+  std::optional<serve::FrozenModel> frozen;
+  if (serve::FrozenModel::Servable(*model)) {
+    frozen = serve::FrozenModel::Freeze(*model);
   }
+  executor.ParallelForBlocked(
+      static_cast<int64_t>(split.size()), /*min_block=*/4,
+      [&](int64_t begin, int64_t end) {
+        serve::FrozenModel::Workspace ws;
+        nn::ForwardContext ctx;
+        Tensor probs;
+        for (int64_t i = begin; i < end; ++i) {
+          ag::NodePtr graph;  // Keeps a graph forward's logits alive.
+          const Tensor& logits =
+              frozen ? frozen->Logits(split[i], &ws)
+                     : (graph = model->Logits(split[i], ctx))->value();
+          // The reductions of ag::SoftmaxCrossEntropy's forward value and of
+          // PredictPositiveProbability, from one softmax.
+          SoftmaxInto(&probs, logits);
+          losses[i] = CrossEntropyValue(probs, labels[i]);
+          scores[i] = probs[1];
+        }
+      });
 
   // Losses are summed in example order, so the mean is
   // thread-count-independent.

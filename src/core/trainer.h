@@ -98,9 +98,10 @@ class Trainer {
 
   /// Gradient-free evaluation (DESIGN.md §10): one forward per example
   /// produces the softmax probabilities once, yielding the cross-entropy
-  /// loss and the ranking score together. BK-DDN and AK-DDN run through a
-  /// refreshed serve::FrozenModel snapshot (no graph allocation at all);
-  /// other models run their graph forward under ag::InferenceModeScope.
+  /// loss and the ranking score together. Models that
+  /// serve::FrozenModel::Servable() accepts run through a refreshed frozen
+  /// snapshot (no graph allocation at all); other models run their plain
+  /// graph forward.
   /// Examples are scored in blocks on the executor into disjoint slots and
   /// losses summed in example order, so the result is identical at any
   /// thread count.

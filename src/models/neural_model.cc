@@ -1,6 +1,7 @@
 #include "models/neural_model.h"
 
 #include "autograd/ops.h"
+#include "tensor/tensor_ops.h"
 
 namespace kddn::models {
 
@@ -8,8 +9,9 @@ float NeuralDocumentModel::PredictPositiveProbability(
     const data::Example& example) {
   nn::ForwardContext ctx;
   ctx.training = false;
-  ag::NodePtr logits = Logits(example, ctx);
-  return ag::SoftmaxProbs(logits->value())[1];
+  Tensor probs;
+  SoftmaxInto(&probs, Logits(example, ctx)->value());
+  return probs[1];
 }
 
 }  // namespace kddn::models

@@ -1,11 +1,9 @@
 #include "serve/frozen_model.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <string>
 
-#include "autograd/ops.h"
 #include "common/check.h"
 #include "common/fnv1a.h"
 #include "common/trace.h"
@@ -14,48 +12,6 @@
 
 namespace kddn::serve {
 namespace {
-
-/// Resizes `t` to `shape` only when needed; contents are unspecified after
-/// the call (every user overwrites them fully or zeroes the slack). Recycles
-/// the tensor's existing storage, so once a workspace buffer has grown to a
-/// workload's high-water size, shape changes stop allocating — this is what
-/// keeps the warm frozen forward tensor-allocation-free across mixed
-/// document lengths (asserted via alloc::AllocScope in tests/trace_test.cc).
-void EnsureShape(Tensor* t, std::vector<int> shape) {
-  if (t->shape() != shape) {
-    *t = Tensor::AdoptStorage(std::move(shape), std::move(*t).TakeStorage());
-  }
-}
-
-/// Row-gather matching ag::EmbeddingLookup's forward arithmetic (a copy).
-void EmbedRows(const Tensor& table, const std::vector<int>& ids, Tensor* out) {
-  const int vocab = table.dim(0), d = table.dim(1);
-  EnsureShape(out, {static_cast<int>(ids.size()), d});
-  for (size_t i = 0; i < ids.size(); ++i) {
-    const int id = ids[i];
-    KDDN_CHECK(id >= 0 && id < vocab)
-        << "embedding id " << id << " out of range [0," << vocab << ")";
-    std::memcpy(out->data() + static_cast<int64_t>(i) * d,
-                table.data() + static_cast<int64_t>(id) * d,
-                sizeof(float) * static_cast<size_t>(d));
-  }
-}
-
-/// [a | b] along columns, matching ag::Concat(axis=1) (a pure copy).
-void ConcatCols(const Tensor& a, const Tensor& b, Tensor* out) {
-  const int rows = a.dim(0);
-  KDDN_CHECK_EQ(b.dim(0), rows) << "ConcatCols height mismatch";
-  const int ca = a.dim(1), cb = b.dim(1);
-  EnsureShape(out, {rows, ca + cb});
-  for (int i = 0; i < rows; ++i) {
-    std::memcpy(out->data() + static_cast<int64_t>(i) * (ca + cb),
-                a.data() + static_cast<int64_t>(i) * ca,
-                sizeof(float) * static_cast<size_t>(ca));
-    std::memcpy(out->data() + static_cast<int64_t>(i) * (ca + cb) + ca,
-                b.data() + static_cast<int64_t>(i) * cb,
-                sizeof(float) * static_cast<size_t>(cb));
-  }
-}
 
 const std::vector<int>& PadFallback() {
   static const std::vector<int> pad = {text::Vocabulary::kPadId};
@@ -68,19 +24,18 @@ Tensor CopyParam(const nn::ParameterSet& params, const std::string& name) {
 
 }  // namespace
 
-FrozenModel FrozenModel::Freeze(const models::NeuralDocumentModel& model) {
-  FrozenModel frozen;
+bool FrozenModel::Servable(const models::NeuralDocumentModel& model) {
   const std::string name = model.name();
-  if (name == "BK-DDN") {
-    frozen.kind_ = Kind::kBkDdn;
-  } else if (name == "AK-DDN") {
-    frozen.kind_ = Kind::kAkDdn;
-  } else {
-    KDDN_CHECK(false) << "FrozenModel serves BK-DDN / AK-DDN only, got "
-                      << name;
-  }
+  return name == "BK-DDN" || name == "AK-DDN";
+}
+
+FrozenModel FrozenModel::Freeze(const models::NeuralDocumentModel& model) {
+  KDDN_CHECK(Servable(model))
+      << "FrozenModel serves BK-DDN / AK-DDN only, got " << model.name();
+  FrozenModel frozen;
+  frozen.kind_ = std::string(model.name()) == "BK-DDN" ? Kind::kBkDdn
+                                                      : Kind::kAkDdn;
   const models::ModelConfig& config = model.config();
-  frozen.embedding_dim_ = config.embedding_dim;
   frozen.num_filters_ = config.num_filters;
   frozen.filter_widths_ = config.filter_widths;
   frozen.residual_ = config.akddn_residual;
@@ -131,57 +86,21 @@ void FrozenModel::ConvBank(const Tensor& input,
                            const std::vector<Tensor>& weights,
                            const std::vector<Tensor>& biases, Workspace* ws,
                            int fused_offset) const {
-  int max_width = filter_widths_[0];
-  for (int width : filter_widths_) {
-    max_width = std::max(max_width, width);
-  }
-  // ag::PadRows: identity when the document is long enough, else zero-pad.
+  // nn::Conv1dBank::Forward, stage for stage.
+  const int max_width =
+      *std::max_element(filter_widths_.begin(), filter_widths_.end());
   const Tensor* padded = &input;
   if (input.dim(0) < max_width) {
-    EnsureShape(&ws->padded, {max_width, input.dim(1)});
-    ws->padded.Fill(0.0f);
-    std::memcpy(ws->padded.data(), input.data(),
-                sizeof(float) * static_cast<size_t>(input.size()));
+    kddn::PadRowsInto(&ws->padded, input, max_width);
     padded = &ws->padded;
   }
-  const int m = padded->dim(0), d = padded->dim(1);
+  float* pooled = ws->fused.data() + fused_offset;
   for (size_t i = 0; i < filter_widths_.size(); ++i) {
-    const int width = filter_widths_[i];
-    // ag::Unfold: row j = flattened window rows [j, j+width).
-    const int windows = m - width + 1;
-    EnsureShape(&ws->windows, {windows, width * d});
-    for (int j = 0; j < windows; ++j) {
-      std::memcpy(ws->windows.data() + static_cast<int64_t>(j) * width * d,
-                  padded->data() + static_cast<int64_t>(j) * d,
-                  sizeof(float) * static_cast<size_t>(width) * d);
-    }
-    // Convolution = the same MatMulABt kernel the graph path uses, then the
-    // bias add and ReLU applied elementwise exactly as ag::AddRowBroadcast /
-    // ag::Relu would (raw pointers — Tensor::at is checked per call and
-    // would dominate this inner loop).
+    kddn::UnfoldInto(&ws->windows, *padded, filter_widths_[i]);
     kddn::MatMulABtInto(&ws->feature_map, ws->windows, weights[i]);
-    float* fm = ws->feature_map.data();
-    const float* bias = biases[i].data();
-    for (int r = 0; r < windows; ++r) {
-      float* row = fm + static_cast<int64_t>(r) * num_filters_;
-      for (int f = 0; f < num_filters_; ++f) {
-        const float v = row[f] + bias[f];
-        row[f] = v < 0.0f ? 0.0f : v;
-      }
-    }
-    // ag::MaxOverTime: strict > keeps the first maximal row, like the graph.
-    float* fused = ws->fused.data() + fused_offset +
-                   static_cast<int64_t>(i) * num_filters_;
-    for (int f = 0; f < num_filters_; ++f) {
-      float best = fm[f];
-      for (int r = 1; r < windows; ++r) {
-        const float v = fm[static_cast<int64_t>(r) * num_filters_ + f];
-        if (v > best) {
-          best = v;
-        }
-      }
-      fused[f] = best;
-    }
+    kddn::AddRowBroadcastInPlace(&ws->feature_map, biases[i]);
+    kddn::ReluInPlace(&ws->feature_map);
+    kddn::MaxOverTime(ws->feature_map, pooled + i * num_filters_);
   }
 }
 
@@ -189,72 +108,57 @@ const Tensor& FrozenModel::Logits(const data::Example& example,
                                   Workspace* ws) const {
   KDDN_TRACE_SPAN("frozen.forward");
   KDDN_CHECK(ws != nullptr);
-  const std::vector<int>& word_ids =
-      example.word_ids.empty() ? PadFallback() : example.word_ids;
-  const std::vector<int>& concept_ids =
-      example.concept_ids.empty() ? PadFallback() : example.concept_ids;
+  kddn::GatherRowsInto(
+      &ws->word_emb, word_table_,
+      example.word_ids.empty() ? PadFallback() : example.word_ids);
+  kddn::GatherRowsInto(
+      &ws->concept_emb, concept_table_,
+      example.concept_ids.empty() ? PadFallback() : example.concept_ids);
 
-  const Tensor* word_in = nullptr;
-  const Tensor* concept_in = nullptr;
-  if (kind_ == Kind::kBkDdn) {
-    EmbedRows(word_table_, word_ids, &ws->word_emb);
-    EmbedRows(concept_table_, concept_ids, &ws->concept_emb);
-    word_in = &ws->word_emb;
-    concept_in = &ws->concept_emb;
-  } else {
-    EmbedRows(word_table_, word_ids, &ws->word_emb);
-    EmbedRows(concept_table_, concept_ids, &ws->concept_emb);
-    // Co-attention (nn::Atti): softmax(W Cᵀ) C and softmax(C Wᵀ) W, via the
-    // same kernels as the graph path.
-    // The Into variants reuse the workspace tensors' storage, so a warmed-up
-    // workspace runs the whole attention stage allocation-free.
+  const Tensor* word_in = &ws->word_emb;
+  const Tensor* concept_in = &ws->concept_emb;
+  if (kind_ == Kind::kAkDdn) {
+    // Co-attention (nn::Atti): softmax(W Cᵀ) C and softmax(C Wᵀ) W.
     kddn::MatMulABtInto(&ws->atti_scores, ws->word_emb, ws->concept_emb);
     kddn::SoftmaxRowsInto(&ws->atti_weights, ws->atti_scores);
     kddn::MatMulInto(&ws->ic, ws->atti_weights, ws->concept_emb);
     kddn::MatMulABtInto(&ws->atti_scores, ws->concept_emb, ws->word_emb);
     kddn::SoftmaxRowsInto(&ws->atti_weights, ws->atti_scores);
     kddn::MatMulInto(&ws->iw, ws->atti_weights, ws->word_emb);
+    word_in = &ws->ic;
+    concept_in = &ws->iw;
     if (residual_) {
-      ConcatCols(ws->word_emb, ws->ic, &ws->word_in);
-      ConcatCols(ws->concept_emb, ws->iw, &ws->concept_in);
+      const Tensor* word_parts[] = {&ws->word_emb, &ws->ic};
+      const Tensor* concept_parts[] = {&ws->concept_emb, &ws->iw};
+      kddn::ConcatColsInto(&ws->word_in, word_parts);
+      kddn::ConcatColsInto(&ws->concept_in, concept_parts);
       word_in = &ws->word_in;
       concept_in = &ws->concept_in;
-    } else {
-      word_in = &ws->ic;
-      concept_in = &ws->iw;
     }
   }
 
+  // The pooled features of both branches, [1, 2 * branch_dim], are the
+  // classifier's input row; no stage reads them before ConvBank writes them.
   const int branch_dim =
       num_filters_ * static_cast<int>(filter_widths_.size());
-  EnsureShape(&ws->fused, {1, 2 * branch_dim});
+  ws->fused = Tensor::AdoptStorage({1, 2 * branch_dim},
+                                   std::move(ws->fused).TakeStorage());
   ConvBank(*word_in, word_conv_w_, word_conv_b_, ws, /*fused_offset=*/0);
   ConvBank(*concept_in, concept_conv_w_, concept_conv_b_, ws,
            /*fused_offset=*/branch_dim);
 
-  // nn::Dense on a rank-1 input: [1, in] x [in, 2] + bias (same kernel).
-  kddn::MatMulInto(&ws->cls_out, ws->fused, cls_weight_);
-  EnsureShape(&ws->logits, {2});
-  ws->logits[0] = ws->cls_out.at(0, 0) + cls_bias_[0];
-  ws->logits[1] = ws->cls_out.at(0, 1) + cls_bias_[1];
+  // nn::Dense on a rank-1 input: [1, in] x [in, 2] + bias, then rank 1.
+  kddn::MatMulInto(&ws->logits, ws->fused, cls_weight_);
+  kddn::AddRowBroadcastInPlace(&ws->logits, cls_bias_);
+  ws->logits =
+      Tensor::AdoptStorage({2}, std::move(ws->logits).TakeStorage());
   return ws->logits;
 }
 
 float FrozenModel::ScorePositive(const data::Example& example,
                                  Workspace* ws) const {
-  return ag::SoftmaxProbs(Logits(example, ws))[1];
-}
-
-FrozenModel::EvalResult FrozenModel::EvalExample(const data::Example& example,
-                                                 int label,
-                                                 Workspace* ws) const {
-  KDDN_CHECK(label == 0 || label == 1) << "binary label expected";
-  const std::vector<float> probs = ag::SoftmaxProbs(Logits(example, ws));
-  EvalResult result;
-  // Same clamp as ag::SoftmaxCrossEntropy's forward value.
-  result.loss = -std::log(std::max(probs[label], 1e-12f));
-  result.score = probs[1];
-  return result;
+  kddn::SoftmaxInto(&ws->probs, Logits(example, ws));
+  return ws->probs[1];
 }
 
 bool FrozenModel::VerifyChecksum() const {

@@ -16,30 +16,27 @@ namespace kddn::serve {
 /// canonical storage, fingerprinted for cache keys and change detection) and
 /// materialises per-parameter tensors from it for the forward kernels. The
 /// forward pass is gradient-free: no ag::Node graph is allocated, dropout is
-/// the identity (inference mode), and all intermediates live in a caller- or
-/// thread-owned Workspace that is reused across calls.
+/// the identity, and all intermediates live in a Workspace that the caller
+/// owns and reuses across calls.
 ///
 /// Bitwise contract: scoring an example through a FrozenModel produces the
 /// same float, bit for bit, as NeuralDocumentModel::PredictPositiveProbability
 /// on the source model — at any thread-pool size and in any batch
-/// interleaving. This holds because the matmul/softmax stages call the exact
-/// same deterministic tensor kernels the autograd ops call, and the
-/// elementwise stages (lookup, pad, unfold, relu, max-over-time, concat,
-/// bias add) replicate those ops' arithmetic exactly. tests/serve_test.cc
-/// enforces the contract.
+/// interleaving. It holds by construction: every stage of Logits() is a call
+/// to the tensor kernel (tensor/tensor_ops.h) that the matching autograd op
+/// computes its forward value with. tests/serve_test.cc checks it.
 class FrozenModel {
  public:
   enum class Kind { kBkDdn, kAkDdn };
 
-  /// Per-call scratch. One instance per thread; buffers are reallocated only
-  /// when a document's shape outgrows them, so steady-state serving of
-  /// same-truncation traffic does no per-request tensor allocation outside
-  /// the shared matmul kernels.
+  /// Per-call scratch, used by one call at a time. Buffers are reshaped in
+  /// place and reallocated only when a document's shape outgrows them, so a
+  /// warm workspace scores without any tensor allocation.
   struct Workspace {
     Tensor word_emb;      // [m_w, d] embedded words.
     Tensor concept_emb;   // [m_c, d] embedded concepts.
-    Tensor word_in;       // CNN input, word branch (AK: interaction rows).
-    Tensor concept_in;    // CNN input, concept branch.
+    Tensor word_in;       // AK-DDN residual CNN input [words | Ic].
+    Tensor concept_in;    // AK-DDN residual CNN input [concepts | Iw].
     Tensor atti_scores;   // Co-attention scores (AK-DDN only).
     Tensor atti_weights;  // Row-softmaxed scores.
     Tensor ic;            // Word-queries-concepts interaction matrix.
@@ -48,12 +45,16 @@ class FrozenModel {
     Tensor windows;       // im2col windows for the current filter width.
     Tensor feature_map;   // Conv scores [windows, filters].
     Tensor fused;         // [1, out_w + out_c] pooled features.
-    Tensor cls_out;       // [1, 2] classifier product before the bias.
     Tensor logits;        // [2].
+    Tensor probs;         // [2] softmax of the logits.
   };
 
-  /// Snapshots a trained model. Only BK-DDN and AK-DDN are servable (they are
-  /// the paper's end products); any other model kind fails with a KddnError.
+  /// True for the model kinds Freeze() accepts: BK-DDN and AK-DDN, the
+  /// paper's end products.
+  static bool Servable(const models::NeuralDocumentModel& model);
+
+  /// Snapshots a trained model; a model that is not Servable() fails with a
+  /// KddnError.
   static FrozenModel Freeze(const models::NeuralDocumentModel& model);
 
   /// Rank-1 logits [2] for one example, written through `ws`. The reference
@@ -68,21 +69,6 @@ class FrozenModel {
   /// Probability of the positive (death) class.
   float ScorePositive(const data::Example& example, Workspace* ws) const;
 
-  /// One forward, both per-epoch validation metrics (DESIGN.md §10): the
-  /// softmax probabilities are computed once and yield the cross-entropy
-  /// loss against `label` and the positive-class score together. `loss` is
-  /// bitwise what ag::ScalarValue(ag::SoftmaxCrossEntropy(logits, label))
-  /// reports and `score` bitwise what ScorePositive reports, because all
-  /// three reduce the same logits through ag::SoftmaxProbs and the same
-  /// -log(max(p, 1e-12)) clamp.
-  struct EvalResult {
-    float loss = 0.0f;
-    float score = 0.0f;
-  };
-  EvalResult EvalExample(const data::Example& example, int label,
-                         Workspace* ws) const;
-
-  Kind kind() const { return kind_; }
   const char* name() const {
     return kind_ == Kind::kBkDdn ? "BK-DDN" : "AK-DDN";
   }
@@ -112,15 +98,14 @@ class FrozenModel {
  private:
   FrozenModel() = default;
 
-  /// The two CNN branches share this: pad, unfold per width, convolve, bias,
-  /// ReLU, max-over-time; pooled features are written to
+  /// The two CNN branches share this: pad, then per width unfold, convolve,
+  /// bias, ReLU and max-over-time; pooled features are written to
   /// fused[0, offset .. offset + num_filters * |widths|).
   void ConvBank(const Tensor& input, const std::vector<Tensor>& weights,
                 const std::vector<Tensor>& biases, Workspace* ws,
                 int fused_offset) const;
 
   Kind kind_ = Kind::kBkDdn;
-  int embedding_dim_ = 0;
   int num_filters_ = 0;
   std::vector<int> filter_widths_;
   bool residual_ = true;  // AK-DDN: raw embeddings concatenated alongside.

@@ -108,11 +108,17 @@ GemmFn PickNT() {
   return detail::ActiveGemmImpl().nt;
 }
 
-/// Reshapes `*out` to `shape` reusing its storage (no data preserved), then
-/// zero-fills it ready for an accumulating GEMM kernel.
-void PrepareOut(Tensor* out, std::vector<int> shape) {
+/// Reshapes `*out` to `shape` reusing its storage; the contents are
+/// unspecified afterwards. Once a workspace tensor has grown to a workload's
+/// high-water size, shape changes stop allocating.
+void ReshapeOut(Tensor* out, std::vector<int> shape) {
   KDDN_CHECK(out != nullptr);
   *out = Tensor::AdoptStorage(std::move(shape), std::move(*out).TakeStorage());
+}
+
+/// ReshapeOut, then zero-fill ready for an accumulating GEMM kernel.
+void PrepareOut(Tensor* out, std::vector<int> shape) {
+  ReshapeOut(out, std::move(shape));
   out->Fill(0.0f);
 }
 
@@ -145,37 +151,6 @@ MatMulDims CheckMatMulABt(const Tensor& a, const Tensor& b) {
       << "MatMulABt shared-dimension mismatch " << a.ShapeString() << " vs "
       << b.ShapeString();
   return {a.dim(0), a.dim(1), b.dim(0)};
-}
-
-// Deliberately scalar — not routed through the GEMM lane-split helpers
-// (DESIGN.md §9). The row max is a sequential std::max chain whose NaN
-// semantics (first operand wins) differ from vector min/max lane rules, so a
-// lane-split max is not bitwise-safe in general; and the exp sum accumulates
-// in double precision, where an 8-way float-style lane split would change
-// both the type and the rounding of every partial. Neither loop is on the
-// GEMM-dominated hot path: exp() dwarfs both.
-void SoftmaxRowsImpl(const Tensor& a, Tensor* out) {
-  const int m = a.dim(0), n = a.dim(1);
-  const float* ap = a.data();
-  float* op = out->data();
-  for (int i = 0; i < m; ++i) {
-    const float* arow = ap + static_cast<int64_t>(i) * n;
-    float* orow = op + static_cast<int64_t>(i) * n;
-    float row_max = arow[0];
-    for (int j = 1; j < n; ++j) {
-      row_max = std::max(row_max, arow[j]);
-    }
-    double total = 0.0;
-    for (int j = 0; j < n; ++j) {
-      const float e = std::exp(arow[j] - row_max);
-      orow[j] = e;
-      total += e;
-    }
-    const float inv = static_cast<float>(1.0 / total);
-    for (int j = 0; j < n; ++j) {
-      orow[j] *= inv;
-    }
-  }
 }
 
 }  // namespace
@@ -340,23 +315,6 @@ void AxpyInPlace(Tensor* a, float s, const Tensor& b) {
   }
 }
 
-Tensor AddRowBroadcast(const Tensor& a, const Tensor& row) {
-  CheckRank2(a, "AddRowBroadcast input");
-  KDDN_CHECK_EQ(row.rank(), 1) << "AddRowBroadcast row must be rank-1";
-  const int m = a.dim(0), n = a.dim(1);
-  KDDN_CHECK_EQ(n, row.dim(0)) << "AddRowBroadcast width mismatch";
-  Tensor out = TensorPool::ThreadLocal().AcquireCopy(a);
-  float* op = out.data();
-  const float* rp = row.data();
-  for (int i = 0; i < m; ++i) {
-    float* orow = op + static_cast<int64_t>(i) * n;
-    for (int j = 0; j < n; ++j) {
-      orow[j] += rp[j];
-    }
-  }
-  return out;
-}
-
 float Sum(const Tensor& a) {
   double acc = 0.0;
   const float* ap = a.data();
@@ -376,23 +334,174 @@ float MaxValue(const Tensor& a) {
   return *std::max_element(a.data(), a.data() + a.size());
 }
 
-Tensor SoftmaxRows(const Tensor& a) {
-  CheckRank2(a, "SoftmaxRows");
-  const int m = a.dim(0), n = a.dim(1);
-  KDDN_CHECK_GT(n, 0) << "SoftmaxRows over zero-width rows";
-  Tensor out = TensorPool::ThreadLocal().AcquireUninit({m, n});
-  SoftmaxRowsImpl(a, &out);
-  return out;
-}
-
+// Deliberately scalar — not routed through the GEMM lane-split helpers
+// (DESIGN.md §9). The row max is a sequential std::max chain whose NaN
+// semantics (first operand wins) differ from vector min/max lane rules, so a
+// lane-split max is not bitwise-safe in general; and the exp sum accumulates
+// in double precision, where an 8-way float-style lane split would change
+// both the type and the rounding of every partial. Neither loop is on the
+// GEMM-dominated hot path: exp() dwarfs both.
 void SoftmaxRowsInto(Tensor* out, const Tensor& a) {
   CheckRank2(a, "SoftmaxRows");
   const int m = a.dim(0), n = a.dim(1);
   KDDN_CHECK_GT(n, 0) << "SoftmaxRows over zero-width rows";
-  KDDN_CHECK(out != nullptr && out != &a)
-      << "SoftmaxRowsInto: out aliases the input";
-  *out = Tensor::AdoptStorage({m, n}, std::move(*out).TakeStorage());
-  SoftmaxRowsImpl(a, out);
+  KDDN_CHECK(out != &a) << "SoftmaxRowsInto: out aliases the input";
+  ReshapeOut(out, {m, n});
+  const float* ap = a.data();
+  float* op = out->data();
+  for (int i = 0; i < m; ++i) {
+    const float* arow = ap + static_cast<int64_t>(i) * n;
+    float* orow = op + static_cast<int64_t>(i) * n;
+    float row_max = arow[0];
+    for (int j = 1; j < n; ++j) {
+      row_max = std::max(row_max, arow[j]);
+    }
+    double total = 0.0;
+    for (int j = 0; j < n; ++j) {
+      const float e = std::exp(arow[j] - row_max);
+      orow[j] = e;
+      total += e;
+    }
+    const float inv = static_cast<float>(1.0 / total);
+    for (int j = 0; j < n; ++j) {
+      orow[j] *= inv;
+    }
+  }
+}
+
+void GatherRowsInto(Tensor* out, const Tensor& table,
+                    const std::vector<int>& ids) {
+  CheckRank2(table, "embedding table");
+  KDDN_CHECK(!ids.empty()) << "GatherRows with empty id list";
+  KDDN_CHECK(out != &table) << "GatherRowsInto: out aliases the table";
+  const int vocab = table.dim(0), d = table.dim(1);
+  ReshapeOut(out, {static_cast<int>(ids.size()), d});
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const int id = ids[i];
+    KDDN_CHECK(id >= 0 && id < vocab)
+        << "embedding id " << id << " out of range [0," << vocab << ")";
+    std::copy_n(table.data() + static_cast<int64_t>(id) * d, d,
+                out->data() + static_cast<int64_t>(i) * d);
+  }
+}
+
+void PadRowsInto(Tensor* out, const Tensor& x, int min_rows) {
+  CheckRank2(x, "PadRows input");
+  KDDN_CHECK_LT(x.dim(0), min_rows) << "PadRows: nothing to pad";
+  KDDN_CHECK(out != &x) << "PadRowsInto: out aliases the input";
+  ReshapeOut(out, {min_rows, x.dim(1)});
+  // Rows [0, m) are the input, contiguous in both tensors; the tail is zero.
+  float* tail = std::copy_n(x.data(), x.size(), out->data());
+  std::fill(tail, out->data() + out->size(), 0.0f);
+}
+
+void UnfoldInto(Tensor* out, const Tensor& x, int width) {
+  CheckRank2(x, "Unfold input");
+  KDDN_CHECK_GT(width, 0);
+  const int m = x.dim(0), d = x.dim(1);
+  KDDN_CHECK_GE(m, width) << "Unfold: " << m << " rows < width " << width
+                          << " (pad first)";
+  KDDN_CHECK(out != &x) << "UnfoldInto: out aliases the input";
+  const int windows = m - width + 1;
+  const int64_t window_size = static_cast<int64_t>(width) * d;
+  ReshapeOut(out, {windows, static_cast<int>(window_size)});
+  // Window j is the contiguous input rows [j, j + width).
+  for (int j = 0; j < windows; ++j) {
+    std::copy_n(x.data() + static_cast<int64_t>(j) * d, window_size,
+                out->data() + j * window_size);
+  }
+}
+
+void ConcatColsInto(Tensor* out, std::span<const Tensor* const> parts) {
+  KDDN_CHECK(!parts.empty()) << "ConcatCols of zero parts";
+  const int rows = parts[0]->dim(0);
+  int total_cols = 0;
+  for (const Tensor* part : parts) {
+    CheckRank2(*part, "ConcatCols part");
+    KDDN_CHECK_EQ(part->dim(0), rows) << "Concat(axis=1) height mismatch";
+    KDDN_CHECK(out != part) << "ConcatColsInto: out aliases a part";
+    total_cols += part->dim(1);
+  }
+  ReshapeOut(out, {rows, total_cols});
+  float* dst = out->data();
+  for (int i = 0; i < rows; ++i) {
+    for (const Tensor* part : parts) {
+      const int cols = part->dim(1);
+      dst = std::copy_n(part->data() + static_cast<int64_t>(i) * cols, cols,
+                        dst);
+    }
+  }
+}
+
+void AddRowBroadcastInPlace(Tensor* a, const Tensor& row) {
+  CheckRank2(*a, "AddRowBroadcast input");
+  KDDN_CHECK_EQ(row.rank(), 1) << "AddRowBroadcast row must be rank-1";
+  const int m = a->dim(0), n = a->dim(1);
+  KDDN_CHECK_EQ(n, row.dim(0)) << "AddRowBroadcast width mismatch";
+  float* ap = a->data();
+  const float* rp = row.data();
+  for (int i = 0; i < m; ++i) {
+    float* arow = ap + static_cast<int64_t>(i) * n;
+    for (int j = 0; j < n; ++j) {
+      arow[j] += rp[j];
+    }
+  }
+}
+
+void ReluInPlace(Tensor* a) {
+  // A select, not `if (x < 0) x = 0`: the same bits for every input, but
+  // about half of a feature map is negative, so the branch would mispredict.
+  float* ap = a->data();
+  for (int64_t i = 0; i < a->size(); ++i) {
+    ap[i] = ap[i] < 0.0f ? 0.0f : ap[i];
+  }
+}
+
+void MaxOverTime(const Tensor& x, float* out) {
+  CheckRank2(x, "MaxOverTime input");
+  const int m = x.dim(0), f = x.dim(1);
+  KDDN_CHECK_GT(m, 0) << "MaxOverTime over zero rows";
+  // One column at a time with the running maximum in a local: the select
+  // compiles to a max instruction, with no branch to mispredict and no store
+  // that could alias the input.
+  const float* xp = x.data();
+  for (int j = 0; j < f; ++j) {
+    float best = xp[j];
+    for (int i = 1; i < m; ++i) {
+      const float v = xp[static_cast<int64_t>(i) * f + j];
+      best = v > best ? v : best;
+    }
+    out[j] = best;
+  }
+}
+
+void SoftmaxInto(Tensor* out, const Tensor& logits) {
+  KDDN_CHECK_EQ(logits.rank(), 1) << "Softmax wants rank-1 logits";
+  const int n = logits.dim(0);
+  KDDN_CHECK_GT(n, 0) << "Softmax over zero logits";
+  KDDN_CHECK(out != &logits) << "SoftmaxInto: out aliases the logits";
+  ReshapeOut(out, {n});
+  const float* lp = logits.data();
+  float* op = out->data();
+  float max_logit = lp[0];
+  for (int j = 1; j < n; ++j) {
+    max_logit = std::max(max_logit, lp[j]);
+  }
+  double total = 0.0;
+  for (int j = 0; j < n; ++j) {
+    op[j] = std::exp(lp[j] - max_logit);
+    total += op[j];
+  }
+  for (int j = 0; j < n; ++j) {
+    op[j] = static_cast<float>(op[j] / total);
+  }
+}
+
+float CrossEntropyValue(const Tensor& probs, int label) {
+  KDDN_CHECK(label >= 0 && label < probs.size())
+      << "label " << label << " out of range for " << probs.size()
+      << " classes";
+  return -std::log(std::max(probs[label], 1e-12f));
 }
 
 float SquaredNorm(const Tensor& a) {

@@ -1,6 +1,9 @@
 #ifndef KDDN_TENSOR_TENSOR_OPS_H_
 #define KDDN_TENSOR_TENSOR_OPS_H_
 
+#include <span>
+#include <vector>
+
 #include "common/rng.h"
 #include "tensor/tensor.h"
 
@@ -64,8 +67,50 @@ void MatMulInto(Tensor* out, const Tensor& a, const Tensor& b);
 void MatMulAtBInto(Tensor* out, const Tensor& a, const Tensor& b);
 void MatMulABtInto(Tensor* out, const Tensor& a, const Tensor& b);
 
-/// Row-wise softmax into `*out` (storage reused like MatMulInto).
+/// Row-wise softmax of a rank-2 tensor (max-shifted, exp sum in double)
+/// into `*out` (storage reused like MatMulInto).
 void SoftmaxRowsInto(Tensor* out, const Tensor& a);
+
+// Forward value kernels (DESIGN.md §9). Each stage of the BK-DDN / AK-DDN
+// forward has exactly one: the autograd op computes its value through the
+// kernel into a pooled tensor, and serve::FrozenModel calls the same kernel
+// into its Workspace, so the two forwards are one arithmetic. The `Into`
+// kernels reshape `*out` in place reusing its storage, as MatMulInto does;
+// `out` must not alias an input.
+
+/// Row gather (embedding lookup): out[i] = table[ids[i]], [len(ids), d].
+void GatherRowsInto(Tensor* out, const Tensor& table,
+                    const std::vector<int>& ids);
+
+/// Zero-pads x[m, d] at the bottom to [min_rows, d]; requires m < min_rows.
+void PadRowsInto(Tensor* out, const Tensor& x, int min_rows);
+
+/// im2col for 1-D convolution: x[m, d] -> [m - width + 1, width * d], row j
+/// being the flattened window x[j .. j + width). Requires m >= width.
+void UnfoldInto(Tensor* out, const Tensor& x, int width);
+
+/// Column concatenation [p0 | p1 | ...] of rank-2 parts of equal height.
+void ConcatColsInto(Tensor* out, std::span<const Tensor* const> parts);
+
+/// Adds row[n] to every row of a[m, n] in place (bias broadcast).
+void AddRowBroadcastInPlace(Tensor* a, const Tensor& row);
+
+/// In-place ReLU as the branchless select `x < 0 ? 0 : x`, so -0 and NaN
+/// pass through unchanged.
+void ReluInPlace(Tensor* a);
+
+/// Max-over-time pooling of x[m, f] (m > 0) into out[0 .. f): each column's
+/// rows swept in order, keeping a row only when it compares strictly `>`
+/// the running maximum, so a tie keeps the first maximal row.
+void MaxOverTime(const Tensor& x, float* out);
+
+/// Softmax of rank-1 logits[n] into `*out` (max-shifted; the exp sum and the
+/// normalising division run in double).
+void SoftmaxInto(Tensor* out, const Tensor& logits);
+
+/// Cross-entropy value of rank-1 softmax `probs` against `label`:
+/// -log(max(probs[label], 1e-12)).
+float CrossEntropyValue(const Tensor& probs, int label);
 
 /// Matrix transpose of a rank-2 tensor.
 Tensor Transpose(const Tensor& a);
@@ -88,9 +133,6 @@ void AddInPlace(Tensor* a, const Tensor& b);
 /// In-place a += s * b; shapes must match.
 void AxpyInPlace(Tensor* a, float s, const Tensor& b);
 
-/// Adds a row vector to every row: a[m,n] + row[n] -> [m,n].
-Tensor AddRowBroadcast(const Tensor& a, const Tensor& row);
-
 /// Sum of all elements.
 float Sum(const Tensor& a);
 
@@ -99,9 +141,6 @@ float Mean(const Tensor& a);
 
 /// Largest element; tensor must be non-empty.
 float MaxValue(const Tensor& a);
-
-/// Row-wise softmax of a rank-2 tensor (numerically stabilised).
-Tensor SoftmaxRows(const Tensor& a);
 
 /// Squared L2 norm of all elements.
 float SquaredNorm(const Tensor& a);

@@ -236,11 +236,16 @@ TEST(GradCheck, MaxOverTime) {
 }
 
 TEST(MaxOverTimeTest, PicksColumnMaxima) {
-  NodePtr x = Node::Leaf(Tensor::FromData({3, 2}, {1, 9, 5, 2, 3, 4}), false,
-                         "x");
+  // Both columns tie: 5 in rows 1 and 3, 9 in rows 0 and 3. The first
+  // maximal row wins, and the gradient flows to it alone.
+  NodePtr x = Node::Leaf(
+      Tensor::FromData({4, 2}, {1, 9, 5, 2, 3, 4, 5, 9}), true, "x");
   NodePtr m = MaxOverTime(x);
   EXPECT_EQ(m->value().at(0), 5.0f);
   EXPECT_EQ(m->value().at(1), 9.0f);
+  Backward(SumAll(m));
+  EXPECT_EQ(x->grad().ToVector(),
+            (std::vector<float>{0, 1, 1, 0, 0, 0, 0, 0}));
 }
 
 TEST(GradCheck, AddRowBroadcast) {
@@ -279,7 +284,8 @@ TEST(SoftmaxCrossEntropyTest, LabelRangeChecked) {
 }
 
 TEST(SoftmaxProbsTest, NormalisedAndStable) {
-  std::vector<float> p = SoftmaxProbs(Tensor::FromData({3}, {500, 500, 500}));
+  Tensor p;
+  SoftmaxInto(&p, Tensor::FromData({3}, {500, 500, 500}));
   EXPECT_NEAR(p[0], 1.0f / 3.0f, 1e-5f);
   EXPECT_NEAR(p[0] + p[1] + p[2], 1.0f, 1e-5f);
 }

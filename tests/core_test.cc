@@ -209,7 +209,7 @@ TEST_F(CoreTest, TrainerRestoresBestValidationEpoch) {
 
 TEST_F(CoreTest, AllMethodNamesMatchesPaperRowCount) {
   EXPECT_EQ(AllMethodNames().size(), 11u);  // Tables V/VI have 11 rows.
-  for (const std::string& name :
+  for (const char* name :
        {"Text CNN", "Concept CNN", "H CNN", "DKGAM", "BK-DDN", "AK-DDN"}) {
     models::ModelConfig config;
     config.word_vocab_size = 10;

@@ -8,6 +8,7 @@
 // goldens and the mid-run checkpoint/resume golden — lives in
 // pipeline_test.cc, which is also labelled `jobs`. The whole label is
 // `sanitize`-labelled and must stay TSan-clean.
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <string>
@@ -292,26 +293,28 @@ TEST(JobExecutorTest, NestedParallelismInsideJobBodiesInlinesWithoutDeadlock) {
   PoolSizeGuard guard;
   SetGlobalThreadPoolSize(4);
   std::atomic<int64_t> nested_sum{0};
-  std::atomic<uint64_t> inner_generation{0};
-  jobs::JobGraph inner;
-  inner.AddJob("inner", [&] { nested_sum.fetch_add(1); });
-  inner.Finalize();
+  // One inner graph per outer job: a graph is run by one caller at a time,
+  // and the outer jobs run concurrently.
+  std::array<jobs::JobGraph, 8> inner;
   jobs::JobGraph graph;
-  for (int i = 0; i < 8; ++i) {
+  for (jobs::JobGraph& g : inner) {
+    g.AddJob("inner", [&] { nested_sum.fetch_add(1); });
+    g.Finalize();
     graph.AddJob("outer", [&] {
       // Nested fork/join region: must inline on the executor lane (a lane
       // blocking on pool sub-tasks could deadlock the run).
       GlobalThreadPool().ParallelFor(
           16, [&](int64_t) { nested_sum.fetch_add(1); });
       // Nested executor run: takes the inline path for the same reason.
-      jobs::JobExecutor(&GlobalThreadPool()).Run(&inner);
-      inner_generation.store(inner.generation());
+      jobs::JobExecutor(&GlobalThreadPool()).Run(&g);
     });
   }
   graph.Finalize();
   jobs::JobExecutor(&GlobalThreadPool()).Run(&graph);
   EXPECT_EQ(nested_sum.load(), 8 * 16 + 8);
-  EXPECT_EQ(inner_generation.load(), 8u);
+  for (const jobs::JobGraph& g : inner) {
+    EXPECT_EQ(g.generation(), 1u);
+  }
 }
 
 // ---------------------------------------------------------------------------

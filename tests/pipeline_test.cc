@@ -5,8 +5,7 @@
 // both resume paths (mid-run checkpoint, and a checkpoint written under the
 // scalar GEMM resumed under SIMD) must land on the same constant.
 // BatchAssembler must hand the trainer exactly the batches direct slicing
-// would, inference-mode graphs must carry bitwise-identical values with no
-// tape, and EvaluateSplit must equal a per-example graph forward. Labelled
+// would, and EvaluateSplit must equal a per-example graph forward. Labelled
 // `pipeline` and `sanitize` — the whole suite runs under TSan.
 #include <cstdint>
 #include <cstdio>
@@ -21,7 +20,6 @@
 #include "common/check.h"
 #include "common/fault_injector.h"
 #include "common/fnv1a.h"
-#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/batch_assembler.h"
 #include "core/experiment.h"
@@ -221,38 +219,6 @@ TEST(BatchAssemblerTest, BatchesMatchDirectSlicing) {
 }
 
 // ---------------------------------------------------------------------------
-// Inference mode: bitwise values, no tape.
-// ---------------------------------------------------------------------------
-
-TEST(InferenceModeTest, ValuesBitwiseEqualWithNoTapeAndBackwardRefused) {
-  Rng rng(99);
-  const Tensor init = RandomNormal({6, 4}, 0, 0.5f, &rng);
-  const std::vector<int> ids = {0, 3, 3, 5};
-
-  ag::NodePtr graph_table = ag::Node::Leaf(init, true, "emb.table");
-  const ag::NodePtr graph_loss =
-      ag::MeanAll(ag::Mul(ag::EmbeddingLookup(graph_table, ids),
-                          ag::EmbeddingLookup(graph_table, ids)));
-  EXPECT_FALSE(graph_loss->parents().empty());
-
-  ag::NodePtr inference_loss;
-  {
-    ag::InferenceModeScope inference;
-    EXPECT_TRUE(ag::InferenceModeEnabled());
-    ag::NodePtr table = ag::Node::Leaf(init, true, "emb.table");
-    inference_loss = ag::MeanAll(ag::Mul(ag::EmbeddingLookup(table, ids),
-                                         ag::EmbeddingLookup(table, ids)));
-  }
-  EXPECT_FALSE(ag::InferenceModeEnabled());
-
-  // Same arithmetic, same bits — only tape retention differs.
-  EXPECT_EQ(ag::ScalarValue(inference_loss), ag::ScalarValue(graph_loss));
-  EXPECT_TRUE(inference_loss->parents().empty());
-  EXPECT_FALSE(inference_loss->requires_grad());
-  EXPECT_THROW(ag::Backward(inference_loss), KddnError);
-}
-
-// ---------------------------------------------------------------------------
 // End-to-end goldens on one shared small fixture.
 // ---------------------------------------------------------------------------
 
@@ -408,7 +374,7 @@ TEST_F(TrainingEquivalenceTest, ScalarCheckpointResumesBitwiseUnderSimd) {
 /// EvaluateSplit against a two-pass reference computed here through the
 /// training graph: pass one takes each example's cross-entropy, pass two its
 /// positive-class probability, then the mean and the ROC AUC. BK-DDN covers
-/// the frozen-snapshot route, Text CNN the inference-mode graph route.
+/// the frozen-snapshot route, Text CNN the plain graph route.
 TEST_F(TrainingPipelineTest, EvaluateSplitMatchesTwoPassStatics) {
   const synth::Horizon horizon = synth::Horizon::kInHospital;
   core::TrainOptions options = BaseOptions();

@@ -78,14 +78,27 @@ TrainedWorld& World() {
 }
 
 /// The first up-to-`limit` test examples — enough length/content diversity to
-/// exercise padding, both branches, and the attention shapes.
+/// exercise both branches and the attention shapes.
 std::vector<data::Example> GoldenExamples(size_t limit = 12) {
   const auto& test = World().dataset.test();
   return {test.begin(),
           test.begin() + static_cast<long>(std::min(limit, test.size()))};
 }
 
-/// Autograd-path reference scores (the training graph, inference mode).
+/// GoldenExamples() plus word and concept sequences of 1 and 2 ids, shorter
+/// than the widest filter, so both CNN branches also run the pad stage.
+std::vector<data::Example> GoldenAndShortExamples() {
+  std::vector<data::Example> examples = GoldenExamples();
+  for (const auto& [words, concepts] : {std::pair{1, 2}, std::pair{2, 1}}) {
+    data::Example example = examples.front();
+    example.word_ids.resize(words);
+    example.concept_ids.resize(concepts);
+    examples.push_back(std::move(example));
+  }
+  return examples;
+}
+
+/// Autograd-path reference scores (the training graph's forward).
 std::vector<float> ReferenceScores(models::NeuralDocumentModel* model,
                                    const std::vector<data::Example>& examples) {
   std::vector<float> scores;
@@ -124,7 +137,7 @@ class GoldenPredictionTest
 
 TEST_P(GoldenPredictionTest, FrozenMatchesAutogradBitwise) {
   PoolSizeGuard guard;
-  const std::vector<data::Example> examples = GoldenExamples();
+  const std::vector<data::Example> examples = GoldenAndShortExamples();
   const std::vector<float> reference = ReferenceScores(Model(), examples);
   const serve::FrozenModel frozen = serve::FrozenModel::Freeze(*Model());
 
@@ -140,7 +153,7 @@ TEST_P(GoldenPredictionTest, FrozenMatchesAutogradBitwise) {
 
 TEST_P(GoldenPredictionTest, EngineMatchesAutogradAtEveryBatchShape) {
   PoolSizeGuard guard;
-  const std::vector<data::Example> examples = GoldenExamples();
+  const std::vector<data::Example> examples = GoldenAndShortExamples();
   const std::vector<float> reference = ReferenceScores(Model(), examples);
   const serve::FrozenModel frozen = serve::FrozenModel::Freeze(*Model());
 

@@ -130,6 +130,16 @@ TEST(TensorOpsTest, ElementwiseOps) {
   EXPECT_EQ(Sub(b, a).at(0), 2.0f);
   EXPECT_EQ(Mul(a, b).at(1), 10.0f);
   EXPECT_EQ(Scale(a, 2.0f).at(1), 4.0f);
+
+  // ReLU zeroes negatives only: -0 keeps its sign bit and NaN passes.
+  Tensor r = Tensor::FromData({4}, {-1.0f, -0.0f, std::nanf(""), 2.0f});
+  ReluInPlace(&r);
+  EXPECT_EQ(r[0], 0.0f);
+  EXPECT_FALSE(std::signbit(r[0]));
+  EXPECT_EQ(r[1], 0.0f);
+  EXPECT_TRUE(std::signbit(r[1]));
+  EXPECT_TRUE(std::isnan(r[2]));
+  EXPECT_EQ(r[3], 2.0f);
 }
 
 TEST(TensorOpsTest, InPlaceOps) {
@@ -143,11 +153,10 @@ TEST(TensorOpsTest, InPlaceOps) {
 
 TEST(TensorOpsTest, AddRowBroadcast) {
   Tensor a = Tensor::FromData({2, 2}, {1, 2, 3, 4});
-  Tensor row = Tensor::FromData({2}, {10, 20});
-  Tensor out = AddRowBroadcast(a, row);
-  EXPECT_EQ(out.at(0, 0), 11.0f);
-  EXPECT_EQ(out.at(1, 1), 24.0f);
-  EXPECT_THROW(AddRowBroadcast(a, Tensor({3})), KddnError);
+  AddRowBroadcastInPlace(&a, Tensor::FromData({2}, {10, 20}));
+  EXPECT_EQ(a.at(0, 0), 11.0f);
+  EXPECT_EQ(a.at(1, 1), 24.0f);
+  EXPECT_THROW(AddRowBroadcastInPlace(&a, Tensor({3})), KddnError);
 }
 
 TEST(TensorOpsTest, Reductions) {
@@ -159,8 +168,8 @@ TEST(TensorOpsTest, Reductions) {
 }
 
 TEST(TensorOpsTest, SoftmaxRowsSumToOneAndOrder) {
-  Tensor a = Tensor::FromData({2, 3}, {1, 2, 3, -1, -1, -1});
-  Tensor s = SoftmaxRows(a);
+  Tensor s;
+  SoftmaxRowsInto(&s, Tensor::FromData({2, 3}, {1, 2, 3, -1, -1, -1}));
   for (int i = 0; i < 2; ++i) {
     float total = 0.0f;
     for (int j = 0; j < 3; ++j) {
@@ -173,8 +182,8 @@ TEST(TensorOpsTest, SoftmaxRowsSumToOneAndOrder) {
 }
 
 TEST(TensorOpsTest, SoftmaxRowsIsStableForLargeLogits) {
-  Tensor a = Tensor::FromData({1, 2}, {1000.0f, 1000.0f});
-  Tensor s = SoftmaxRows(a);
+  Tensor s;
+  SoftmaxRowsInto(&s, Tensor::FromData({1, 2}, {1000.0f, 1000.0f}));
   EXPECT_NEAR(s.at(0, 0), 0.5f, 1e-5f);
   EXPECT_FALSE(std::isnan(s.at(0, 1)));
 }

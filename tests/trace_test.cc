@@ -22,6 +22,7 @@
 #include "gtest/gtest.h"
 #include "kb/concept_extractor.h"
 #include "kb/knowledge_base.h"
+#include "models/ak_ddn.h"
 #include "models/bk_ddn.h"
 #include "serve/frozen_model.h"
 #include "serve/inference_engine.h"
@@ -278,8 +279,8 @@ TEST(AllocTrackerTest, WarmTensorPoolAcquireIsAllocationFree) {
   }
 }
 
-/// Shared serving fixture: one small trained BK-DDN frozen for the
-/// zero-allocation and determinism tests. Built once for the binary.
+/// Shared serving fixture: the small dataset and model config the
+/// zero-allocation and determinism tests train on. Built once for the binary.
 class TraceServingTest : public ::testing::Test {
  protected:
   struct Assets {
@@ -327,32 +328,41 @@ class TraceServingTest : public ::testing::Test {
 TEST_F(TraceServingTest, WarmFrozenForwardPerformsZeroTensorAllocations) {
   TraceGuard guard;
   Assets* a = assets();
-  models::BkDdn model(a->model_config);
-  core::Trainer trainer(SmallTrainOptions());
-  trainer.Train(&model, a->dataset.train(), a->dataset.validation(),
-                synth::Horizon::kInHospital);
-  const serve::FrozenModel frozen = serve::FrozenModel::Freeze(model);
-
-  // Warm pass: grows every workspace buffer to the split's high-water shape.
-  serve::FrozenModel::Workspace ws;
-  float warm_sink = 0.0f;
-  for (const data::Example& example : a->dataset.test()) {
-    warm_sink += frozen.ScorePositive(example, &ws);
-  }
   ASSERT_GT(a->dataset.test().size(), 1u);
+  models::BkDdn bk(a->model_config);
+  models::AkDdn ak(a->model_config);
+  for (models::NeuralDocumentModel* model :
+       {static_cast<models::NeuralDocumentModel*>(&bk),
+        static_cast<models::NeuralDocumentModel*>(&ak)}) {
+    SCOPED_TRACE(model->name());
+    core::Trainer trainer(SmallTrainOptions());
+    trainer.Train(model, a->dataset.train(), a->dataset.validation(),
+                  synth::Horizon::kInHospital);
+    const serve::FrozenModel frozen = serve::FrozenModel::Freeze(*model);
 
-  // Measured passes over mixed document lengths: zero tensor allocations.
-  float sink = 0.0f;
-  alloc::AllocScope scope("test.frozen_forward");
-  for (int rep = 0; rep < 2; ++rep) {
-    for (const data::Example& example : a->dataset.test()) {
-      sink += frozen.ScorePositive(example, &ws);
+    // Warm pass: grows every workspace buffer to the split's high-water
+    // shape.
+    serve::FrozenModel::Workspace ws;
+    const std::vector<data::Example>& test = a->dataset.test();
+    std::vector<float> warm;
+    for (const data::Example& example : test) {
+      warm.push_back(frozen.ScorePositive(example, &ws));
     }
+
+    // Measured passes over mixed document lengths: zero tensor allocations,
+    // and every score repeats the warm pass bit for bit.
+    int mismatches = 0;
+    alloc::AllocScope scope("test.frozen_forward");
+    for (int rep = 0; rep < 2; ++rep) {
+      for (size_t i = 0; i < test.size(); ++i) {
+        mismatches += frozen.ScorePositive(test[i], &ws) != warm[i];
+      }
+    }
+    EXPECT_EQ(scope.allocations(), 0u)
+        << "warm FrozenModel::Logits allocated tensor storage";
+    EXPECT_EQ(scope.live_delta(), 0);
+    EXPECT_EQ(mismatches, 0);
   }
-  EXPECT_EQ(scope.allocations(), 0u)
-      << "warm FrozenModel::Forward allocated tensor storage";
-  EXPECT_EQ(scope.live_delta(), 0);
-  EXPECT_EQ(sink, 2.0f * warm_sink);  // Warm pass already bitwise-converged.
 }
 
 TEST_F(TraceServingTest, CacheWarmScoreNotePerformsZeroTensorAllocations) {
