@@ -377,7 +377,7 @@ int RunSwapBench(const Flags& flags) {
   // Phase 3 — the health gate refuses a corrupted snapshot, then a clean
   // snapshot whose claimed golden scores belong to another model.
   serve::FrozenModel corrupt_c = frozen_c;
-  corrupt_c.CorruptBlobForTest(corrupt_c.blob().size() / 2);
+  corrupt_c.CorruptWeightForTest(7);
   registry.Add(corrupt_c);
   const SwapReply corrupt_reply = AdminSwap(server.port(),
                                             frozen_c.fingerprint());

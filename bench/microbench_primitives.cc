@@ -4,13 +4,14 @@
 // regressions in the substrate.
 //
 // Run with --parallel_json[=path] to instead emit BENCH_parallel.json:
-// wall-clock of the parallel primitives (MatMul, CNN block) and of one
-// BK-DDN training epoch on a NURSING-scale synthetic corpus at 1/2/4
-// threads — the perf trajectory that future scaling PRs diff against.
+// wall-clock of one BK-DDN training epoch on a NURSING-scale synthetic
+// corpus at 1/2/4 executor lanes — the epoch-scaling trajectory that future
+// scaling changes diff against.
 //
 // Run with --serve_json[=path] to emit BENCH_serve.json: serving-path
-// wall-clock on a trained BK-DDN — one-at-a-time autograd forward vs the
-// frozen snapshot vs the batched inference engine, plus engine latency
+// throughput on a trained BK-DDN — one-at-a-time autograd forward vs the
+// frozen snapshot vs the batched inference engine, each timed over whole
+// passes filling a window of at least one second — plus engine latency
 // percentiles and the concept-cache hit rate on a repeated-note workload.
 //
 // Run with --train_json[=path] to emit BENCH_train.json: single-thread
@@ -26,9 +27,10 @@
 // forward allocates. Gated by scripts/check_bench.py.
 //
 // Run with --jobs_json[=path] to emit BENCH_jobs.json: the job-graph
-// executor's overlap speedup over the fork/join barrier schedule on a
-// staged pipeline at pool size 2 (the median ratio over interleaved pairs),
-// plus steady-state jobs/sec across reused generations (DESIGN.md §14).
+// executor's overlap speedup over a stage-barrier schedule of the same jobs
+// on a staged pipeline at executor size 2 (the median ratio over
+// interleaved pairs), plus steady-state jobs/sec across reused generations
+// (DESIGN.md §14).
 // Gated by scripts/check_bench.py.
 #include <benchmark/benchmark.h>
 
@@ -171,6 +173,22 @@ double BestSeconds(int reps, const Fn& fn) {
   return best;
 }
 
+/// Seconds per call of `fn`, averaged over whole calls until at least
+/// `min_seconds` of wall clock has elapsed: a window long enough that one
+/// slow stretch of a shared host cannot decide the number.
+template <typename Fn>
+double WindowSeconds(double min_seconds, const Fn& fn) {
+  const auto start = std::chrono::steady_clock::now();
+  int64_t calls = 0;
+  std::chrono::duration<double> elapsed{0};
+  do {
+    fn();
+    ++calls;
+    elapsed = std::chrono::steady_clock::now() - start;
+  } while (elapsed.count() < min_seconds);
+  return elapsed.count() / static_cast<double>(calls);
+}
+
 /// True on degenerate hosts where thread-scaling numbers are meaningless:
 /// recorded into every bench artifact so readers (and scripts/check_bench.py)
 /// can tell a regression from a hardware limitation.
@@ -196,22 +214,12 @@ void WriteJsonSection(std::ofstream& out, const char* name,
   out << "}" << (last ? "\n" : ",\n");
 }
 
-/// Emits BENCH_parallel.json: MatMul / CNN-block / training-epoch wall-clock
-/// at 1, 2, and 4 threads. All numbers are from the same deterministic
-/// kernels, so the outputs (not just the checksums) agree across rows — the
+/// Emits BENCH_parallel.json: training-epoch wall-clock at 1, 2, and 4
+/// executor lanes. Training is bitwise identical at every lane count, so the
 /// columns differ only in wall-clock.
 int RunParallelBench(const std::string& out_path) {
   const std::vector<int> thread_counts = {1, 2, 4};
-  std::vector<double> matmul_s, conv_s, epoch_s;
-
-  Rng rng(1);
-  const Tensor a = RandomNormal({256, 256}, 0, 1, &rng);
-  const Tensor b = RandomNormal({256, 256}, 0, 1, &rng);
-
-  nn::ParameterSet conv_params;
-  nn::Conv1dBank conv(&conv_params, "conv", 20, 50, {1, 2, 3}, &rng);
-  const ag::NodePtr conv_x =
-      ag::Node::Leaf(RandomNormal({512, 20}, 0, 1, &rng), false, "x");
+  std::vector<double> epoch_s;
 
   // NURSING-scale synthetic corpus: paper-sized documents and embedding
   // widths, patient count trimmed so the whole sweep stays interactive.
@@ -229,10 +237,6 @@ int RunParallelBench(const std::string& out_path) {
 
   for (int threads : thread_counts) {
     SetGlobalThreadPoolSize(threads);
-    matmul_s.push_back(
-        BestSeconds(5, [&] { benchmark::DoNotOptimize(MatMul(a, b)); }));
-    conv_s.push_back(
-        BestSeconds(5, [&] { benchmark::DoNotOptimize(conv.Forward(conv_x)); }));
     epoch_s.push_back(BestSeconds(1, [&] {
       models::ModelConfig model_config;
       model_config.word_vocab_size = dataset.word_vocab().size();
@@ -244,13 +248,11 @@ int RunParallelBench(const std::string& out_path) {
       core::TrainOptions train_options;
       train_options.epochs = 1;
       train_options.batch_size = 32;
-      train_options.num_threads = threads;
       core::Trainer trainer(train_options);
       trainer.Train(&model, dataset.train(), dataset.validation(),
                     synth::Horizon::kInHospital);
     }));
-    std::printf("threads=%d matmul=%.4fs conv=%.4fs epoch=%.3fs\n", threads,
-                matmul_s.back(), conv_s.back(), epoch_s.back());
+    std::printf("threads=%d epoch=%.3fs\n", threads, epoch_s.back());
   }
   SetGlobalThreadPoolSize(0);
 
@@ -262,8 +264,6 @@ int RunParallelBench(const std::string& out_path) {
   out << "{\n";
   WriteHostFields(out);
   out << "  \"thread_counts\": [1, 2, 4],\n";
-  WriteJsonSection(out, "matmul_256", thread_counts, matmul_s);
-  WriteJsonSection(out, "conv_bank_512x20", thread_counts, conv_s);
   WriteJsonSection(out, "bkddn_epoch_nursing400", thread_counts, epoch_s);
   out << "  \"epoch_speedup_4_vs_1\": " << epoch_s[0] / epoch_s[2] << "\n";
   out << "}\n";
@@ -272,10 +272,16 @@ int RunParallelBench(const std::string& out_path) {
   return 0;
 }
 
+/// Minimum wall clock each BENCH_serve row is timed over, in whole passes.
+constexpr double kServeWindowSeconds = 1.0;
+
 /// Emits BENCH_serve.json: the serving-path acceptance numbers. Scores the
 /// same held-out split three ways — per-example autograd graph, per-example
 /// frozen forward, and the batched engine — asserts the three agree bitwise,
 /// and measures a repeated-note ScoreNote workload for the cache hit rate.
+/// Each row's seconds are the mean pass time over a window of whole passes
+/// lasting at least kServeWindowSeconds, and its notes/s the rate over that
+/// window.
 int RunServeBench(const std::string& out_path) {
   auto kb = kb::KnowledgeBase::BuildDefault();
   kb::ConceptExtractor extractor(&kb);
@@ -308,7 +314,7 @@ int RunServeBench(const std::string& out_path) {
   const size_t n = split.size();
   std::vector<float> autograd_scores(n), frozen_scores(n), engine_scores(n);
 
-  const double autograd_s = BestSeconds(3, [&] {
+  const double autograd_s = WindowSeconds(kServeWindowSeconds, [&] {
     for (size_t i = 0; i < n; ++i) {
       autograd_scores[i] = model.PredictPositiveProbability(split[i]);
     }
@@ -316,7 +322,7 @@ int RunServeBench(const std::string& out_path) {
 
   const serve::FrozenModel frozen = serve::FrozenModel::Freeze(model);
   serve::FrozenModel::Workspace ws;
-  const double frozen_s = BestSeconds(3, [&] {
+  const double frozen_s = WindowSeconds(kServeWindowSeconds, [&] {
     for (size_t i = 0; i < n; ++i) {
       frozen_scores[i] = frozen.ScorePositive(split[i], &ws);
     }
@@ -326,7 +332,7 @@ int RunServeBench(const std::string& out_path) {
   engine_options.max_batch = 16;
   engine_options.flush_deadline_ms = 2;
   serve::InferenceEngine engine(&frozen, engine_options);
-  const double engine_s = BestSeconds(3, [&] {
+  const double engine_s = WindowSeconds(kServeWindowSeconds, [&] {
     std::vector<std::future<serve::Scored>> futures;
     futures.reserve(n);
     for (size_t i = 0; i < n; ++i) {
@@ -376,6 +382,7 @@ int RunServeBench(const std::string& out_path) {
   out << "{\n";
   WriteHostFields(out);
   out << "  \"test_examples\": " << n << ",\n";
+  out << "  \"timing_window_min_seconds\": " << kServeWindowSeconds << ",\n";
   out << "  \"snapshot_fingerprint\": \"" << std::hex << frozen.fingerprint()
       << std::dec << "\",\n";
   out << "  \"autograd_seconds\": " << autograd_s << ",\n";
@@ -444,8 +451,10 @@ int RunTrainBench(const std::string& out_path) {
   core::TrainOptions train_options;
   train_options.epochs = 2;  // Amortises one-time table-init costs.
   train_options.batch_size = 16;
-  train_options.num_threads = 1;
   train_options.seed = 7;
+  // Single-lane training: the bench compares GEMM kernels, not schedules.
+  const int previous_lanes = GlobalThreadPoolSize();
+  SetGlobalThreadPoolSize(1);
 
   const TrainMode modes[] = {
       {"scalar", GemmKernel::kScalar},
@@ -483,6 +492,7 @@ int RunTrainBench(const std::string& out_path) {
                 gemm_seconds.back() / train_options.epochs);
   }
   SetGemmKernel(GemmKernel::kAuto);
+  SetGlobalThreadPoolSize(previous_lanes);
 
   bool bitwise = weights[0].size() == weights[1].size();
   for (size_t p = 0; bitwise && p < weights[0].size(); ++p) {
@@ -521,7 +531,7 @@ int RunTrainBench(const std::string& out_path) {
       << ", \"num_filters\": " << model_config.num_filters
       << ", \"batch_size\": " << train_options.batch_size
       << ", \"epochs\": " << train_options.epochs
-      << ", \"num_threads\": " << train_options.num_threads << "},\n";
+      << ", \"num_threads\": 1},\n";
   out << "  \"epoch_seconds\": {";
   for (int i = 0; i < kNumModes; ++i) {
     out << "\"" << modes[i].name << "\": "
@@ -708,13 +718,13 @@ uint64_t JobsBenchMix(uint64_t z) {
 /// Emits BENCH_jobs.json: the job-graph executor's headline number
 /// (DESIGN.md §14). `overlap_speedup` is a staged pipeline (kStages
 /// dependent stages over kChains independent chains, unbalanced per-job
-/// durations) run two ways at pool size 2: the fork/join barrier way (one
-/// ParallelFor per stage, so every stage waits for the slowest job of the
-/// previous one) and as one reused job graph whose only edges are along each
-/// chain, so stage s of a fast chain overlaps stage s-1 of a slow one and
-/// the whole iteration costs one pool round-trip instead of kStages. The
-/// gain comes from removed synchronisation, so it holds even on a
-/// single-core host. The two schedules run as kPairs back-to-back pairs,
+/// durations) run two ways on the same executor at size 2: the stage-barrier
+/// way (one Run of a flat kChains-job graph per stage, so every stage waits
+/// for the slowest job of the previous one) and as one reused job graph
+/// whose only edges are along each chain, so stage s of a fast chain
+/// overlaps stage s-1 of a slow one and the whole iteration costs one Run
+/// instead of kStages. The gain comes from removed synchronisation, so it
+/// holds even on a single-core host. The two schedules run as kPairs back-to-back pairs,
 /// alternating which goes first, and `overlap_speedup` is the median of the
 /// per-pair ratios: a slow stretch of a shared host then slows both sides
 /// of a pair instead of deciding which side wins.
@@ -722,11 +732,12 @@ uint64_t JobsBenchMix(uint64_t z) {
 /// bytes in every pair; `steady_state_jobs_per_sec` is the graph path's
 /// sustained rate across reused generations at its median time.
 int RunJobsBench(const std::string& out_path) {
-  // --- Overlap microbench: barrier vs graph at pool size 2 ----------------
+  // --- Overlap microbench: barrier vs graph at executor size 2 ------------
   SetGlobalThreadPoolSize(2);
+  jobs::JobExecutor& executor = jobs::GlobalExecutor();
   // Deep and light on purpose: the quantity under test is schedule cost, so
   // the pipeline is deeper than it is wide (12 barriers per iteration for
-  // the fork/join way, one pool round-trip for the graph) and each job spins
+  // the stage-barrier way, one Run for the graph) and each job spins
   // only a few microseconds. Heavier jobs just dilute both schedules towards
   // the same pure-work floor.
   constexpr int kStages = 12;
@@ -754,12 +765,18 @@ int RunJobsBench(const std::string& out_path) {
     }
   };
 
+  std::array<jobs::JobGraph, kStages> stage_graphs;
+  for (int s = 0; s < kStages; ++s) {
+    for (int c = 0; c < kChains; ++c) {
+      stage_graphs[s].AddJob("bench.jobs.barrier_stage",
+                             [&, s, c] { job_body(s, c); });
+    }
+    stage_graphs[s].Finalize();
+  }
   const auto run_barrier = [&] {
     for (int iteration = 0; iteration < kIterations; ++iteration) {
-      for (int s = 0; s < kStages; ++s) {
-        GlobalThreadPool().ParallelFor(kChains, [&, s](int64_t c) {
-          job_body(s, static_cast<int>(c));
-        });
+      for (jobs::JobGraph& stage : stage_graphs) {
+        executor.Run(&stage);
       }
     }
   };
@@ -777,7 +794,6 @@ int RunJobsBench(const std::string& out_path) {
     }
   }
   graph.Finalize();
-  jobs::JobExecutor executor(&GlobalThreadPool());
   const auto run_graph = [&] {
     for (int iteration = 0; iteration < kIterations; ++iteration) {
       executor.Run(&graph);

@@ -3,7 +3,7 @@
 // substitute; the reproduction targets the paper's ordering and the
 // magnitude of the co-attention gain (1–3 points).
 //
-// --num_threads N sizes the shared thread pool (default: hardware
+// --num_threads N sizes the process-wide executor (default: hardware
 // concurrency). Training is chunk-reduced, so the AUC table is bitwise
 // identical at any thread count; only the reported wall-clock changes.
 #include <chrono>

@@ -3,7 +3,7 @@
 // uses embedding size 100 on RAD; we use 24 to keep the CPU-only bench under
 // a few minutes — the method ordering, not the absolute AUC, is the target.
 //
-// --num_threads N sizes the shared thread pool; the table is bitwise
+// --num_threads N sizes the process-wide executor; the table is bitwise
 // identical at any thread count.
 #include <chrono>
 

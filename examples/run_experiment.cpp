@@ -8,7 +8,7 @@
 // Flags: --corpus {nursing,rad}, --model (any Table V row name, deep models
 // only for --save), --horizon {0,30,365}, --patients, --epochs, --batch,
 // --lr, --embedding-dim, --filters, --seed, --save <path>, --load <path>,
-// --num_threads (pool size; results are bitwise identical at any value),
+// --num_threads (executor lanes; results are bitwise identical at any value),
 // --verbose, --serve (BK-DDN/AK-DDN: re-score the test split through a
 // frozen snapshot + batched engine and check it against the graph path),
 // --serve_batch (engine max_batch, default 16), --trace_out <path> (trace

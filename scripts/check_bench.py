@@ -19,9 +19,10 @@ number, so this guard checks only the properties every host must uphold:
   scalar reference it is measured against on the same host
   (simd_vs_scalar_speedup >= 1.0);
 * BENCH_jobs.json overlap_speedup >= 1.0: the job graph must never lose
-  to the fork/join barrier schedule it is measured against on the same
-  host (the median ratio over interleaved pairs, so a noisy stretch of a
-  shared host cannot decide it);
+  to the stage-barrier schedule it is measured against on the same host
+  and the same executor (one Run of a flat graph per stage; the median
+  ratio over interleaved pairs, so a noisy stretch of a shared host cannot
+  decide it);
 * HTTP and swap invariants: ordered latency percentiles, a bounded shed
   rate, zero failed requests during a swap, a bounded tail inflation, and
   at least one injected fault;
@@ -29,7 +30,7 @@ number, so this guard checks only the properties every host must uphold:
   overhead stays within a relaxed-atomic-load budget, and every
   instrumented stage recorded at least one span.
 
-Thread-scaling ratios (BENCH_parallel.json) are deliberately not gated: on
+Epoch-scaling ratios (BENCH_parallel.json) are deliberately not gated: on
 a single-core host (single_core_host: true) they legitimately hover at 1.0x
 or below. Speed from one commit to the next is measured by the repo
 benchmark (BENCHMARK.json), not here.

@@ -1,23 +1,47 @@
 #include "common/job_executor.h"
 
 #include <algorithm>
-#include <atomic>
-#include <condition_variable>
-#include <deque>
 #include <exception>
 #include <memory>
-#include <mutex>
-#include <vector>
 
 #include "common/alloc_tracker.h"
 #include "common/check.h"
+#include "common/thread_pool.h"
 #include "common/trace.h"
 
 namespace kddn::jobs {
+namespace {
+
+/// True while the calling thread drives a lane of any executor's run: a Run
+/// nested in a job body then executes inline. The body already holds a lane,
+/// so its nested graph runs on that lane in canonical order instead of
+/// competing for the others — nested fan-outs never stack schedulers.
+thread_local bool t_on_lane = false;
+
+/// Marks the calling thread as on a lane for the current scope.
+class OnLaneScope {
+ public:
+  OnLaneScope() : previous_(t_on_lane) { t_on_lane = true; }
+  ~OnLaneScope() { t_on_lane = previous_; }
+
+  OnLaneScope(const OnLaneScope&) = delete;
+  OnLaneScope& operator=(const OnLaneScope&) = delete;
+
+ private:
+  bool previous_;
+};
+
+int HardwareThreads() {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : static_cast<int>(hw);
+}
+
+}  // namespace
 
 /// Shared state of one Run invocation. All of it lives on the calling
-/// thread's stack: Run is a barrier, so nothing outlives the call and nested
-/// runs (which execute inline) never touch another run's state.
+/// thread's stack: Run is a barrier that also waits for every lane thread
+/// that joined to leave, so nothing outlives the call, and nested runs
+/// (which execute inline) never touch another run's state.
 struct JobExecutor::RunState {
   /// One scheduling lane's deque. The owner pushes and pops at the back
   /// (LIFO, cache-warm successors first); thieves take from the front (FIFO,
@@ -50,6 +74,13 @@ struct JobExecutor::RunState {
   std::mutex error_mu;
   std::exception_ptr error;
 
+  /// Lane hand-out, guarded by the executor's mu_: the next lane index a
+  /// joining lane thread takes (the caller drives lane 0), the lane threads
+  /// currently inside LaneLoop, and the caller's wait for them to leave.
+  int next_lane = 1;
+  int helpers = 0;
+  std::condition_variable helpers_left;
+
   bool Done() const { return remaining.load(std::memory_order_acquire) == 0; }
 
   void CaptureError() {
@@ -71,6 +102,66 @@ struct JobExecutor::RunState {
   }
 };
 
+JobExecutor::JobExecutor(int num_lanes) { StartLanes(num_lanes); }
+
+JobExecutor::~JobExecutor() { StopLanes(); }
+
+void JobExecutor::StartLanes(int num_lanes) {
+  const int lanes = std::max(1, num_lanes);
+  num_lanes_.store(lanes, std::memory_order_relaxed);
+  stopping_ = false;
+  threads_.reserve(lanes - 1);
+  for (int i = 0; i < lanes - 1; ++i) {
+    threads_.emplace_back([this] { LaneThread(); });
+  }
+}
+
+void JobExecutor::StopLanes() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stopping_ = true;
+  }
+  wake_.notify_all();
+  for (std::thread& thread : threads_) {
+    thread.join();
+  }
+  threads_.clear();
+}
+
+void JobExecutor::Resize(int num_lanes) {
+  if (std::max(1, num_lanes) == this->num_lanes()) {
+    return;
+  }
+  StopLanes();
+  StartLanes(num_lanes);
+}
+
+void JobExecutor::LaneThread() {
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    wake_.wait(lock, [this] { return stopping_ || !open_runs_.empty(); });
+    if (stopping_) {
+      return;
+    }
+    // Join the oldest open run on its next free lane; a run with all its
+    // lanes handed out closes to later joiners.
+    RunState* run = open_runs_.front();
+    const int lane = run->next_lane++;
+    if (run->next_lane == run->num_lanes) {
+      open_runs_.pop_front();
+    }
+    ++run->helpers;
+    lock.unlock();
+    LaneLoop(run, lane);
+    lock.lock();
+    // Notified under mu_: the caller cannot see helpers == 0, return and
+    // destroy the run state before this notify is done.
+    if (--run->helpers == 0) {
+      run->helpers_left.notify_all();
+    }
+  }
+}
+
 void JobExecutor::Run(JobGraph* graph) {
   KDDN_CHECK(graph != nullptr);
   KDDN_CHECK(graph->finalized()) << "Run on an unfinalized JobGraph";
@@ -79,8 +170,8 @@ void JobExecutor::Run(JobGraph* graph) {
     return;
   }
   const int lanes = static_cast<int>(std::min<int64_t>(
-      pool_->num_threads(), static_cast<int64_t>(graph->jobs_.size())));
-  if (lanes <= 1 || ThreadPool::InWorker()) {
+      num_lanes(), static_cast<int64_t>(graph->jobs_.size())));
+  if (lanes <= 1 || t_on_lane) {
     RunInline(graph);
     return;
   }
@@ -106,12 +197,27 @@ void JobExecutor::Run(JobGraph* graph) {
   state.remaining.store(static_cast<int64_t>(graph->jobs_.size()),
                         std::memory_order_relaxed);
 
-  // Drive the lanes on the pool. Lane index != OS thread: ParallelFor claims
-  // iterations dynamically, and any single lane loop can finish the whole
-  // graph alone (it steals from lanes whose loops were not claimed yet), so
-  // the run cannot deadlock however the pool schedules the claims.
-  pool_->ParallelFor(lanes,
-                     [&](int64_t lane) { LaneLoop(&state, static_cast<int>(lane)); });
+  // Open the run to the lane threads, then drive lane 0 here. The caller's
+  // lane steals from every deque, so it finishes the graph even if no lane
+  // thread is free to join.
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_runs_.push_back(&state);
+  }
+  for (int i = 1; i < lanes; ++i) {
+    wake_.notify_one();
+  }
+  LaneLoop(&state, 0);
+  {
+    // Close the run to late joiners, then wait only for the lane threads
+    // that joined it to leave.
+    std::unique_lock<std::mutex> lock(mu_);
+    const auto open = std::find(open_runs_.begin(), open_runs_.end(), &state);
+    if (open != open_runs_.end()) {
+      open_runs_.erase(open);
+    }
+    state.helpers_left.wait(lock, [&] { return state.helpers == 0; });
+  }
 
   if (state.error) {
     std::rethrow_exception(state.error);
@@ -120,9 +226,7 @@ void JobExecutor::Run(JobGraph* graph) {
 }
 
 void JobExecutor::LaneLoop(RunState* state, int lane) {
-  // Lanes may block on idle_cv, so job bodies must not fork/join through the
-  // pool: mark the lane a worker and nested parallel regions inline.
-  ThreadPool::ScopedWorkerMark worker_mark;
+  OnLaneScope on_lane;
   RunState::Lane& own = *state->lanes[lane];
   for (;;) {
     JobId id = -1;
@@ -237,6 +341,9 @@ JobId JobExecutor::ExecuteJob(RunState* state, int lane, JobId id) {
 
 void JobExecutor::RunInline(JobGraph* graph) {
   // Canonical topological order: deterministic FIFO, the reference schedule.
+  // The calling thread is the run's one lane, so Runs nested in these job
+  // bodies inline too.
+  OnLaneScope on_lane;
   std::exception_ptr error;
   for (const JobId id : graph->topo_order_) {
     JobGraph::Job& job = graph->jobs_[id];
@@ -260,96 +367,38 @@ void JobExecutor::RunInline(JobGraph* graph) {
 }
 
 void JobExecutor::ParallelForBlocked(
-    int64_t count, int64_t min_block,
+    const char* name, int64_t count, int64_t min_block,
     const std::function<void(int64_t, int64_t)>& fn) {
   if (count <= 0) {
     return;
   }
   min_block = std::max<int64_t>(1, min_block);
-  const int64_t max_blocks = (count + min_block - 1) / min_block;
-  // Up to four blocks per thread: stealing rebalances uneven block costs, so
-  // slicing finer than the thread count buys load balance without a shared
-  // counter on the hot path.
-  const int64_t blocks =
-      std::min<int64_t>(static_cast<int64_t>(pool_->num_threads()) * 4,
-                        max_blocks);
+  const int64_t blocks = std::min<int64_t>(
+      static_cast<int64_t>(num_lanes()) * 4, (count + min_block - 1) / min_block);
   const int64_t block_len = (count + blocks - 1) / blocks;
-  auto run_block = [&](int64_t b) {
-    const int64_t begin = b * block_len;
+  JobGraph graph;
+  for (int64_t begin = 0; begin < count; begin += block_len) {
     const int64_t end = std::min(count, begin + block_len);
-    if (begin < end) {
-      fn(begin, end);
-    }
-  };
-  const int lanes = static_cast<int>(
-      std::min<int64_t>(pool_->num_threads(), blocks));
-  if (lanes <= 1 || ThreadPool::InWorker()) {
-    for (int64_t b = 0; b < blocks; ++b) {
-      run_block(b);
-    }
-    return;
+    graph.AddJob(name, [&fn, begin, end] { fn(begin, end); });
   }
+  graph.Finalize();
+  Run(&graph);
+}
 
-  // Flat fan-out needs no indegrees, no sleeping, and no wakeups: all work
-  // exists up front, so a lane exits once its own deque and every steal
-  // target are empty.
-  struct Lane {
-    std::mutex mu;
-    std::deque<int64_t> blocks;
-  };
-  std::vector<std::unique_ptr<Lane>> lane_deques;
-  lane_deques.reserve(lanes);
-  for (int i = 0; i < lanes; ++i) {
-    lane_deques.push_back(std::make_unique<Lane>());
-  }
-  for (int64_t b = 0; b < blocks; ++b) {
-    lane_deques[b % lanes]->blocks.push_back(b);
-  }
-  std::atomic<bool> cancelled{false};
-  std::mutex error_mu;
-  std::exception_ptr error;
-
-  pool_->ParallelFor(lanes, [&](int64_t lane) {
-    ThreadPool::ScopedWorkerMark worker_mark;
-    for (;;) {
-      int64_t block = -1;
-      {
-        std::lock_guard<std::mutex> lock(lane_deques[lane]->mu);
-        if (!lane_deques[lane]->blocks.empty()) {
-          block = lane_deques[lane]->blocks.back();
-          lane_deques[lane]->blocks.pop_back();
-        }
-      }
-      if (block < 0) {
-        for (int d = 1; d < lanes && block < 0; ++d) {
-          Lane& victim = *lane_deques[(lane + d) % lanes];
-          std::lock_guard<std::mutex> lock(victim.mu);
-          if (!victim.blocks.empty()) {
-            block = victim.blocks.front();
-            victim.blocks.pop_front();
-          }
-        }
-      }
-      if (block < 0) {
-        return;  // No work anywhere; no block can appear later.
-      }
-      if (cancelled.load(std::memory_order_relaxed)) {
-        continue;  // Drain without running; ParallelFor still joins cleanly.
-      }
-      try {
-        run_block(block);
-      } catch (...) {
-        cancelled.store(true, std::memory_order_relaxed);
-        std::lock_guard<std::mutex> lock(error_mu);
-        if (!error) {
-          error = std::current_exception();
-        }
-      }
-    }
-  });
-  if (error) {
-    std::rethrow_exception(error);
-  }
+JobExecutor& GlobalExecutor() {
+  static JobExecutor executor(HardwareThreads());
+  return executor;
 }
 
 }  // namespace kddn::jobs
+
+namespace kddn {
+
+void SetGlobalThreadPoolSize(int num_threads) {
+  jobs::GlobalExecutor().Resize(num_threads <= 0 ? jobs::HardwareThreads()
+                                                 : num_threads);
+}
+
+int GlobalThreadPoolSize() { return jobs::GlobalExecutor().num_lanes(); }
+
+}  // namespace kddn

@@ -24,8 +24,7 @@ using JobId = int32_t;
 /// of its predecessors and exactly once per run. Any two jobs not ordered by
 /// a path may run concurrently and in either order, so jobs must write
 /// disjoint outputs unless an edge orders them — reductions belong in a
-/// single fan-in job that combines partial results in a fixed order (the same
-/// rule ThreadPool::ParallelFor imposes, now expressible as graph structure).
+/// single fan-in job that combines partial results in a fixed order.
 ///
 /// Job names must be string literals (or otherwise have static storage
 /// duration): spans store the pointer, not a copy.

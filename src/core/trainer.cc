@@ -13,7 +13,6 @@
 #include "common/job_executor.h"
 #include "common/job_graph.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "core/batch_assembler.h"
 #include "nn/optimizer.h"
@@ -43,7 +42,6 @@ Trainer::Trainer(const TrainOptions& options) : options_(options) {
   KDDN_CHECK_GT(options.epochs, 0);
   KDDN_CHECK_GT(options.batch_size, 0);
   KDDN_CHECK_GT(options.learning_rate, 0.0f);
-  KDDN_CHECK_GE(options.num_threads, 0);
   KDDN_CHECK_GT(options.grad_chunk_size, 0);
   KDDN_CHECK_GT(options.checkpoint_every, 0);
   KDDN_CHECK(!options.resume || !options.checkpoint_dir.empty())
@@ -60,13 +58,6 @@ eval::CurveRecorder Trainer::Train(models::NeuralDocumentModel* model,
   nn::Adagrad optimizer(options_.learning_rate);
   Rng rng(options_.seed);
   model->params().ZeroGrads();
-
-  std::unique_ptr<ThreadPool> owned_pool;
-  ThreadPool* pool = &GlobalThreadPool();
-  if (options_.num_threads > 0) {
-    owned_pool = std::make_unique<ThreadPool>(options_.num_threads);
-    pool = owned_pool.get();
-  }
 
   std::vector<int> order(train.size());
   for (size_t i = 0; i < order.size(); ++i) {
@@ -232,7 +223,6 @@ eval::CurveRecorder Trainer::Train(models::NeuralDocumentModel* model,
   //        |                     |
   //        (none)          optimizer_step(k)
   jobs::JobGraph graph;
-  jobs::JobExecutor executor(pool);
   graph.AddJob("train.job.assemble", [&] {
     const size_t next = step + 1;
     if (next < num_batches) {
@@ -282,7 +272,7 @@ eval::CurveRecorder Trainer::Train(models::NeuralDocumentModel* model,
     // previous step's graph run.
     assembler.AssembleInto(&slots[0], &order, epoch, 0);
     for (step = 0; step < num_batches; ++step) {
-      executor.Run(&graph);
+      jobs::GlobalExecutor().Run(&graph);
       seen += static_cast<int>(slots[step % 2].size);
     }
 
@@ -290,7 +280,7 @@ eval::CurveRecorder Trainer::Train(models::NeuralDocumentModel* model,
     eval::CurvePoint point;
     point.epoch = epoch;
     point.train_loss = seen > 0 ? epoch_loss / seen : 0.0;
-    const EvalMetrics metrics = EvaluateSplit(model, validation, horizon, pool);
+    const EvalMetrics metrics = EvaluateSplit(model, validation, horizon);
     point.validation_loss = metrics.mean_loss;
     point.validation_auc = metrics.auc;
     recorder.Add(point);
@@ -331,12 +321,6 @@ std::vector<int> Trainer::Labels(const std::vector<data::Example>& split,
 Trainer::EvalMetrics Trainer::EvaluateSplit(
     models::NeuralDocumentModel* model, const std::vector<data::Example>& split,
     synth::Horizon horizon) {
-  return EvaluateSplit(model, split, horizon, &GlobalThreadPool());
-}
-
-Trainer::EvalMetrics Trainer::EvaluateSplit(
-    models::NeuralDocumentModel* model, const std::vector<data::Example>& split,
-    synth::Horizon horizon, ThreadPool* pool) {
   EvalMetrics metrics;  // {0.0, 0.5} on an empty split.
   if (split.empty()) {
     return metrics;
@@ -344,10 +328,6 @@ Trainer::EvalMetrics Trainer::EvaluateSplit(
   const std::vector<int> labels = Labels(split, horizon);
   std::vector<float> scores(split.size());
   std::vector<double> losses(split.size(), 0.0);
-  // Blocks run as executor lanes, which mark their threads as workers: a
-  // block's nested GEMMs run inline instead of fanning out and waiting for
-  // helpers queued behind the other blocks.
-  jobs::JobExecutor executor(pool);
 
   // Servable models evaluate through a refreshed frozen snapshot: no graph
   // nodes at all, per-block Workspace scratch reused across examples, and
@@ -357,8 +337,9 @@ Trainer::EvalMetrics Trainer::EvaluateSplit(
   if (serve::FrozenModel::Servable(*model)) {
     frozen = serve::FrozenModel::Freeze(*model);
   }
-  executor.ParallelForBlocked(
-      static_cast<int64_t>(split.size()), /*min_block=*/4,
+  jobs::GlobalExecutor().ParallelForBlocked(
+      "train.job.eval_block", static_cast<int64_t>(split.size()),
+      /*min_block=*/4,
       [&](int64_t begin, int64_t end) {
         serve::FrozenModel::Workspace ws;
         nn::ForwardContext ctx;

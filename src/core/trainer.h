@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "data/dataset.h"
 #include "eval/metrics.h"
 #include "models/neural_model.h"
@@ -22,11 +21,6 @@ struct TrainOptions {
   float learning_rate = 0.08f;
   uint64_t seed = 5;
   bool verbose = false;  // Print per-epoch metrics to stderr.
-  /// Intra-batch parallelism: 0 uses the process-wide pool (see
-  /// common/thread_pool.h, sized by --num_threads in the binaries), > 0 gives
-  /// this trainer a private pool of that size. Results are bitwise identical
-  /// for every value — see the chunked reduction note on Trainer.
-  int num_threads = 0;
   /// Examples per gradient-reduction chunk. Each chunk accumulates into its
   /// own buffer and chunks merge in index order, so the floating-point sum
   /// order depends only on this value, never on the thread count. Smaller
@@ -56,10 +50,11 @@ std::string CheckpointPath(const std::string& checkpoint_dir);
 /// batch, one Adagrad step per batch, per-epoch validation loss/AUC tracking
 /// (the raw material of the paper's Figs 7–9).
 ///
-/// Training is data-parallel within each mini-batch: the batch is cut into
-/// fixed-size chunks (TrainOptions::grad_chunk_size) that workers process
-/// into per-chunk ag::GradSink buffers, which one merge job then sums in
-/// chunk order. Dropout noise is drawn from a per-example Rng derived from
+/// Training is data-parallel within each mini-batch, on the process-wide
+/// executor (jobs::GlobalExecutor(), sized by --num_threads in the
+/// binaries): the batch is cut into fixed-size chunks
+/// (TrainOptions::grad_chunk_size) that lanes process into per-chunk
+/// ag::GradSink buffers, which one merge job then sums in chunk order. Dropout noise is drawn from a per-example Rng derived from
 /// (seed, epoch, position), so neither the gradients nor the random stream
 /// depend on scheduling — the trained parameters are bitwise identical at
 /// any thread count (pinned by the goldens in tests/pipeline_test.cc,
@@ -68,7 +63,7 @@ std::string CheckpointPath(const std::string& checkpoint_dir);
 /// Each step runs as a reusable job graph (DESIGN.md §14): the gradient
 /// chunks, the ordered merge, the Adagrad step, and the assembly of batch
 /// k+1 are nodes of one jobs::JobGraph built once per Train call and re-run
-/// every step by a work-stealing jobs::JobExecutor, so batch k+1's
+/// every step by the work-stealing jobs::JobExecutor, so batch k+1's
 /// featurisation overlaps batch k's merge and optimizer step.
 ///
 /// With TrainOptions::checkpoint_dir set, training is also crash-safe:
@@ -102,17 +97,12 @@ class Trainer {
   /// serve::FrozenModel::Servable() accepts run through a refreshed frozen
   /// snapshot (no graph allocation at all); other models run their plain
   /// graph forward.
-  /// Examples are scored in blocks on the executor into disjoint slots and
-  /// losses summed in example order, so the result is identical at any
-  /// thread count.
+  /// Examples are scored in blocks on the process-wide executor into
+  /// disjoint slots and losses summed in example order, so the result is
+  /// identical at any thread count.
   static EvalMetrics EvaluateSplit(models::NeuralDocumentModel* model,
                                    const std::vector<data::Example>& split,
                                    synth::Horizon horizon);
-
-  /// EvaluateSplit on an explicit pool (used internally during training).
-  static EvalMetrics EvaluateSplit(models::NeuralDocumentModel* model,
-                                   const std::vector<data::Example>& split,
-                                   synth::Horizon horizon, ThreadPool* pool);
 
  private:
   TrainOptions options_;

@@ -7,7 +7,6 @@
 #include "common/job_executor.h"
 #include "common/job_graph.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "text/lemmatizer.h"
 #include "text/stopwords.h"
@@ -78,7 +77,7 @@ MortalityDataset MortalityDataset::Build(const synth::Cohort& cohort,
 
   // Per-patient preprocessing is a pure function of the patient's text (the
   // lemmatizer, stopword list, and extractor are immutable once built), so
-  // one prepare-range job per pool thread fills disjoint slots and a single
+  // one prepare-range job per executor lane fills disjoint slots and a single
   // dataset.merge job (DESIGN.md §14) folds them in patient order. The merge
   // starts the moment the last range lands, and its fixed order is what
   // keeps the built dataset byte-identical at every thread count.
@@ -111,10 +110,10 @@ MortalityDataset MortalityDataset::Build(const synth::Cohort& cohort,
       prepared.push_back(std::move(p));
     }
   };
-  ThreadPool& pool = GlobalThreadPool();
+  jobs::JobExecutor& executor = jobs::GlobalExecutor();
   const int64_t n = static_cast<int64_t>(patients.size());
   const int64_t ranges =
-      std::max<int64_t>(1, std::min<int64_t>(pool.num_threads(), n));
+      std::max<int64_t>(1, std::min<int64_t>(executor.num_lanes(), n));
   const int64_t range_len = (n + ranges - 1) / ranges;
   jobs::JobGraph graph;
   const jobs::JobId merge = graph.AddJob("dataset.merge", merge_prepared);
@@ -130,7 +129,7 @@ MortalityDataset MortalityDataset::Build(const synth::Cohort& cohort,
     graph.AddEdge(prepare, merge);
   }
   graph.Finalize();
-  jobs::JobExecutor(&pool).Run(&graph);
+  executor.Run(&graph);
   KDDN_CHECK(!prepared.empty()) << "every patient was excluded";
 
   // Random 7:3 split, then 10% of train as validation (paper §VII-C).

@@ -18,11 +18,29 @@ const std::vector<int>& PadFallback() {
   return pad;
 }
 
-Tensor CopyParam(const nn::ParameterSet& params, const std::string& name) {
-  return params.Get(name)->value();
+uint64_t HashWeights(const Tensor& weights, uint64_t state) {
+  return Fnv1a(weights.data(), weights.size() * sizeof(float), state);
 }
 
 }  // namespace
+
+template <typename Self, typename Fn>
+void FrozenModel::ForEachWeight(Self& self, Fn&& fn) {
+  fn("word_emb.table", self.word_table_);
+  fn("concept_emb.table", self.concept_table_);
+  for (size_t i = 0; i < self.filter_widths_.size(); ++i) {
+    const std::string width = std::to_string(self.filter_widths_[i]);
+    fn("word_conv.w" + width, self.word_conv_w_[i]);
+    fn("word_conv.b" + width, self.word_conv_b_[i]);
+  }
+  for (size_t i = 0; i < self.filter_widths_.size(); ++i) {
+    const std::string width = std::to_string(self.filter_widths_[i]);
+    fn("concept_conv.w" + width, self.concept_conv_w_[i]);
+    fn("concept_conv.b" + width, self.concept_conv_b_[i]);
+  }
+  fn("cls.weight", self.cls_weight_);
+  fn("cls.bias", self.cls_bias_);
+}
 
 bool FrozenModel::Servable(const models::NeuralDocumentModel& model) {
   const std::string name = model.name();
@@ -41,39 +59,38 @@ FrozenModel FrozenModel::Freeze(const models::NeuralDocumentModel& model) {
   frozen.residual_ = config.akddn_residual;
   KDDN_CHECK(!frozen.filter_widths_.empty()) << "model has no filter widths";
 
-  // Canonical storage: every parameter, registration order, one contiguous
-  // blob. The fingerprint is over these bytes.
-  const nn::ParameterSet& params = model.params();
-  frozen.blob_.reserve(static_cast<size_t>(params.TotalWeights()));
-  for (const ag::NodePtr& param : params.all()) {
-    const Tensor& value = param->value();
-    frozen.blob_.insert(frozen.blob_.end(), value.data(),
-                        value.data() + value.size());
-  }
-  frozen.fingerprint_ =
-      Fnv1a(frozen.blob_.data(), frozen.blob_.size() * sizeof(float));
+  // Copy every parameter, walking them in registration order: the
+  // fingerprint chains FNV-1a over their bytes in that order, and the name
+  // check proves ForEachWeight visits the copies in the same order, so
+  // VerifyChecksum can recompute it from the copies alone.
+  const std::vector<ag::NodePtr>& params = model.params().all();
+  const size_t per_bank = frozen.filter_widths_.size();
+  frozen.word_conv_w_.resize(per_bank);
+  frozen.word_conv_b_.resize(per_bank);
+  frozen.concept_conv_w_.resize(per_bank);
+  frozen.concept_conv_b_.resize(per_bank);
+  frozen.fingerprint_ = kFnv1aSeed;
+  size_t next = 0;
+  ForEachWeight(frozen, [&](const std::string& name, Tensor& weights) {
+    KDDN_CHECK(next < params.size() && params[next]->name() == name)
+        << "parameter " << next << " is not " << name;
+    weights = params[next++]->value();
+    frozen.fingerprint_ = HashWeights(weights, frozen.fingerprint_);
+  });
+  KDDN_CHECK_EQ(next, params.size()) << "model has parameters the snapshot "
+                                        "does not serve";
 
-  // Kernel-ready views, validated against the config-derived shapes.
-  frozen.word_table_ = CopyParam(params, "word_emb.table");
-  frozen.concept_table_ = CopyParam(params, "concept_emb.table");
+  // Validate the copies against the config-derived shapes.
   KDDN_CHECK_EQ(frozen.word_table_.dim(1), config.embedding_dim)
       << "word embedding width mismatch";
   const int conv_in =
       config.embedding_dim *
       (frozen.kind_ == Kind::kAkDdn && frozen.residual_ ? 2 : 1);
-  for (int width : frozen.filter_widths_) {
-    const std::string suffix = std::to_string(width);
-    frozen.word_conv_w_.push_back(CopyParam(params, "word_conv.w" + suffix));
-    frozen.word_conv_b_.push_back(CopyParam(params, "word_conv.b" + suffix));
-    frozen.concept_conv_w_.push_back(
-        CopyParam(params, "concept_conv.w" + suffix));
-    frozen.concept_conv_b_.push_back(
-        CopyParam(params, "concept_conv.b" + suffix));
-    KDDN_CHECK_EQ(frozen.word_conv_w_.back().dim(1), width * conv_in)
-        << "conv fan-in mismatch for width " << width;
+  for (size_t i = 0; i < per_bank; ++i) {
+    KDDN_CHECK_EQ(frozen.word_conv_w_[i].dim(1),
+                  frozen.filter_widths_[i] * conv_in)
+        << "conv fan-in mismatch for width " << frozen.filter_widths_[i];
   }
-  frozen.cls_weight_ = CopyParam(params, "cls.weight");
-  frozen.cls_bias_ = CopyParam(params, "cls.bias");
   const int fused_dim = 2 * frozen.num_filters_ *
                         static_cast<int>(frozen.filter_widths_.size());
   KDDN_CHECK_EQ(frozen.cls_weight_.dim(0), fused_dim)
@@ -162,15 +179,20 @@ float FrozenModel::ScorePositive(const data::Example& example,
 }
 
 bool FrozenModel::VerifyChecksum() const {
-  return Fnv1a(blob_.data(), blob_.size() * sizeof(float)) == fingerprint_;
+  uint64_t checksum = kFnv1aSeed;
+  ForEachWeight(*this, [&](const std::string&, const Tensor& weights) {
+    checksum = HashWeights(weights, checksum);
+  });
+  return checksum == fingerprint_;
 }
 
-void FrozenModel::CorruptBlobForTest(size_t index) {
-  KDDN_CHECK(index < blob_.size()) << "corruption index out of range";
+void FrozenModel::CorruptWeightForTest(size_t index) {
+  KDDN_CHECK(index < static_cast<size_t>(word_table_.size()))
+      << "corruption index out of range";
   uint32_t bits;
-  std::memcpy(&bits, &blob_[index], sizeof(bits));
+  std::memcpy(&bits, &word_table_[index], sizeof(bits));
   bits ^= 0x00400000u;  // Flip a mantissa bit: value changes, stays finite.
-  std::memcpy(&blob_[index], &bits, sizeof(bits));
+  std::memcpy(&word_table_[index], &bits, sizeof(bits));
 }
 
 }  // namespace kddn::serve

@@ -12,16 +12,16 @@
 namespace kddn::serve {
 
 /// Immutable inference snapshot of a trained BK-DDN or AK-DDN. Freeze()
-/// deep-copies the model's ParameterSet into one contiguous float blob (the
-/// canonical storage, fingerprinted for cache keys and change detection) and
-/// materialises per-parameter tensors from it for the forward kernels. The
-/// forward pass is gradient-free: no ag::Node graph is allocated, dropout is
-/// the identity, and all intermediates live in a Workspace that the caller
-/// owns and reuses across calls.
+/// deep-copies each of the model's parameters into the kernel-ready tensor
+/// the forward reads (one copy of the weights) and fingerprints them for
+/// cache keys and change detection. The forward pass is gradient-free: no
+/// ag::Node graph is allocated, dropout is the identity, and all
+/// intermediates live in a Workspace that the caller owns and reuses across
+/// calls.
 ///
 /// Bitwise contract: scoring an example through a FrozenModel produces the
 /// same float, bit for bit, as NeuralDocumentModel::PredictPositiveProbability
-/// on the source model — at any thread-pool size and in any batch
+/// on the source model — at any executor size and in any batch
 /// interleaving. It holds by construction: every stage of Logits() is a call
 /// to the tensor kernel (tensor/tensor_ops.h) that the matching autograd op
 /// computes its forward value with. tests/serve_test.cc checks it.
@@ -73,30 +73,31 @@ class FrozenModel {
     return kind_ == Kind::kBkDdn ? "BK-DDN" : "AK-DDN";
   }
 
-  /// FNV-1a over the weight blob bytes: two snapshots of identical weights
-  /// share a fingerprint; any weight change alters it.
+  /// FNV-1a chained over the weight bytes of every parameter, in the model's
+  /// registration order: two snapshots of identical weights share a
+  /// fingerprint; any weight change alters it.
   uint64_t fingerprint() const { return fingerprint_; }
 
-  /// Recomputes the FNV-1a checksum over the weight blob and compares it to
-  /// the fingerprint recorded at Freeze() time. False means the snapshot's
-  /// canonical bytes no longer match what was frozen (bit rot, a bad copy, a
-  /// poisoned artifact) — the swap health gate refuses to publish such a
-  /// snapshot (DESIGN.md §13).
+  /// Recomputes the FNV-1a checksum over the weights and compares it to the
+  /// fingerprint recorded at Freeze() time. False means the snapshot's bytes
+  /// no longer match what was frozen (bit rot, a bad copy, a poisoned
+  /// artifact) — the swap health gate refuses to publish such a snapshot
+  /// before it scores anything (DESIGN.md §13).
   bool VerifyChecksum() const;
 
-  /// Test hook: flips bits of one blob scalar so VerifyChecksum() fails.
-  /// Deliberately does NOT touch the kernel-ready tensors — a poisoned blob
-  /// must be caught by the checksum stage, not by serving garbage.
-  void CorruptBlobForTest(size_t index);
-
-  /// Total scalar weights in the snapshot.
-  int64_t num_weights() const { return static_cast<int64_t>(blob_.size()); }
-
-  /// The contiguous weight blob (read-only; canonical snapshot storage).
-  const std::vector<float>& blob() const { return blob_; }
+  /// Test hook: flips a mantissa bit of word-embedding scalar `index`, a
+  /// weight the forward reads, so VerifyChecksum() fails — the swap gate must
+  /// refuse the snapshot at its checksum stage, before it scores anything.
+  void CorruptWeightForTest(size_t index);
 
  private:
   FrozenModel() = default;
+
+  /// Calls fn(name, tensor) for every weight of `self` (a FrozenModel, const
+  /// or not) in the order BK-DDN and AK-DDN register their parameters — the
+  /// order the fingerprint is chained in.
+  template <typename Self, typename Fn>
+  static void ForEachWeight(Self& self, Fn&& fn);
 
   /// The two CNN branches share this: pad, then per width unfold, convolve,
   /// bias, ReLU and max-over-time; pooled features are written to
@@ -110,12 +111,9 @@ class FrozenModel {
   std::vector<int> filter_widths_;
   bool residual_ = true;  // AK-DDN: raw embeddings concatenated alongside.
 
-  std::vector<float> blob_;  // All weights, contiguous, registration order.
   uint64_t fingerprint_ = 0;
 
-  // Kernel-ready tensors materialised from blob_ at Freeze() time (the
-  // shared matmul kernels take Tensor operands; weights are a few hundred KB
-  // so the copy is cheap and keeps Tensor free of aliasing machinery).
+  // Kernel-ready weights, copied from the model's parameters at Freeze().
   Tensor word_table_;                  // [V_w, d]
   Tensor concept_table_;               // [V_c, d]
   std::vector<Tensor> word_conv_w_;    // Per width: [filters, width * in_dim].

@@ -195,7 +195,7 @@ void HttpServer::LoopThread() {
       }
       Pump(conn);
     }
-    ReapIdleConnections();
+    ReapIdleConnections(now_());
     connections_.erase(
         std::remove_if(connections_.begin(), connections_.end(),
                        [](const std::unique_ptr<Connection>& conn) {
@@ -235,18 +235,17 @@ void HttpServer::AcceptPending() {
     net::SetTcpNoDelay(fd);
     auto conn = std::make_unique<Connection>(parser_options_);
     conn->fd = fd;
-    conn->last_activity = Clock::now();
+    conn->last_activity = now_();
     connections_.push_back(std::move(conn));
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.accepted;
   }
 }
 
-void HttpServer::ReapIdleConnections() {
+void HttpServer::ReapIdleConnections(Clock::time_point now) {
   if (options_.idle_timeout_ms <= 0) {
     return;
   }
-  const Clock::time_point now = Clock::now();
   const auto limit = std::chrono::milliseconds(options_.idle_timeout_ms);
   for (auto& conn : connections_) {
     // A connection with work in flight is active no matter how old its last
@@ -285,7 +284,7 @@ void HttpServer::ReadAndParse(Connection* conn) {
       CloseConnection(conn, /*dropped=*/mid_work);
       return;
     }
-    conn->last_activity = Clock::now();
+    conn->last_activity = now_();
     conn->parser_status = conn->parser.Consume(buffer, n);
     if (conn->parser_status == HttpParser::Status::kError) {
       return;  // Pump answers the 4xx/5xx and closes.
@@ -590,7 +589,7 @@ void HttpServer::QueueResponse(
   out << "\r\n" << body;
   conn->outbox = out.str();
   conn->outbox_sent = 0;
-  conn->last_activity = Clock::now();
+  conn->last_activity = now_();
   std::lock_guard<std::mutex> lock(stats_mutex_);
   if (status < 300) {
     ++stats_.responses_2xx;

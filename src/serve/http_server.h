@@ -146,6 +146,7 @@ class HttpServer {
   HttpServerStatsSnapshot stats() const;
 
  private:
+  friend class HttpServerTestPeer;
   using Clock = std::chrono::steady_clock;
 
   /// Per-connection reactor state. A connection handles one scoring request
@@ -175,8 +176,9 @@ class HttpServer {
 
   void LoopThread();
   void AcceptPending();
-  /// Closes keep-alive connections idle past options_.idle_timeout_ms.
-  void ReapIdleConnections();
+  /// Closes keep-alive connections idle past options_.idle_timeout_ms as of
+  /// `now`, a reading of now_.
+  void ReapIdleConnections(Clock::time_point now);
   /// Reads available bytes into the parser; may mark the connection dead.
   void ReadAndParse(Connection* conn);
   /// Drives one connection as far as it can go without blocking: flush,
@@ -216,6 +218,10 @@ class HttpServer {
   std::thread loop_;
   std::vector<std::unique_ptr<Connection>> connections_;
   Clock::time_point start_time_;
+  /// The clock that stamps connection activity and drives the idle reaper.
+  /// A test peer may substitute a hand-advanced clock before Start(), so
+  /// that a reap decision never depends on how fast a loaded host runs.
+  Clock::time_point (*now_)() = [] { return Clock::now(); };
 
   mutable std::mutex stats_mutex_;
   HttpServerStatsSnapshot stats_;

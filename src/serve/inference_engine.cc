@@ -8,7 +8,6 @@
 #include "common/fault_injector.h"
 #include "common/job_executor.h"
 #include "common/job_graph.h"
-#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "text/tokenizer.h"
 
@@ -322,7 +321,7 @@ void InferenceEngine::ExecuteBatch(
   // woken by its future must already see this batch in the stats.
   stats_.RecordBatch(static_cast<int>(n));
   try {
-    jobs::JobExecutor(&GlobalThreadPool()).Run(&graph);
+    jobs::GlobalExecutor().Run(&graph);
   } catch (...) {
     // A failed run cancels the remaining job bodies, so some respond jobs
     // may not have fired: every promise still unfulfilled gets the error —

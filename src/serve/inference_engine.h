@@ -106,7 +106,7 @@ struct NotePipeline {
 /// any number of client threads queue on an internal worker; the worker
 /// flushes a batch when `max_batch` requests are waiting or the oldest has
 /// aged past `flush_deadline_ms`, and executes the batch as one fan-out on
-/// the process-wide ThreadPool (engine-owned Workspaces, disjoint outputs).
+/// the process-wide job executor (engine-owned Workspaces, disjoint outputs).
 ///
 /// Scores are bitwise identical to the single-example autograd path for
 /// every batch composition and thread count — batching changes scheduling,
@@ -226,12 +226,12 @@ class InferenceEngine {
   };
 
   void WorkerLoop();
-  /// Scores one batch on the global pool and fulfils its promises.
+  /// Scores one batch on the process-wide executor and fulfils its promises.
   void ExecuteBatch(std::vector<std::unique_ptr<Request>> batch);
   /// Takes the most recently released Workspace (a new one if none is free)
   /// / hands one back. Workspaces belong to the engine, not to threads, so a
   /// workspace warmed by one score job stays warm for the next whichever
-  /// pool thread runs it: warm serving allocates no tensor storage under any
+  /// lane runs it: warm serving allocates no tensor storage under any
   /// schedule.
   std::unique_ptr<FrozenModel::Workspace> AcquireWorkspace();
   void ReleaseWorkspace(std::unique_ptr<FrozenModel::Workspace> ws);

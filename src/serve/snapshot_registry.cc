@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/job_executor.h"
 #include "serve/json_util.h"
 
 namespace kddn::serve {
@@ -96,14 +97,23 @@ SwapOutcome SnapshotRegistry::CheckCandidate(const Entry& entry) const {
     return outcome;
   }
   // Canary self-check: the candidate must reproduce, bitwise, the scores its
-  // producer recorded offline for the shared golden notes. Scored directly
-  // (not through the batch queue) so the gate cannot deadlock on a saturated
-  // engine and does not consume serving capacity.
+  // producer recorded offline for the shared golden notes. Scored as jobs on
+  // the process-wide executor, one note per job with its own Workspace, not
+  // through the batch queue: the calling thread drives a lane and can finish
+  // alone, so the gate cannot deadlock on a saturated engine. The scores are
+  // compared in note order, so the mismatch reported is the first one.
   if (!entry.golden_scores.empty()) {
-    FrozenModel::Workspace ws;
-    for (size_t i = 0; i < golden_examples_.size(); ++i) {
-      const float got =
-          entry.model->ScorePositive(golden_examples_[i], &ws);
+    std::vector<float> scores(golden_examples_.size());
+    jobs::GlobalExecutor().ParallelForBlocked(
+        "serve.job.golden", static_cast<int64_t>(scores.size()),
+        /*min_block=*/1, [&](int64_t begin, int64_t end) {
+          FrozenModel::Workspace ws;
+          for (int64_t i = begin; i < end; ++i) {
+            scores[i] = entry.model->ScorePositive(golden_examples_[i], &ws);
+          }
+        });
+    for (size_t i = 0; i < scores.size(); ++i) {
+      const float got = scores[i];
       if (got != entry.golden_scores[i]) {
         outcome.code = SwapCode::kGoldenMismatch;
         std::ostringstream message;

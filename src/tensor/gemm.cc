@@ -48,12 +48,12 @@ inline void MicroKernelRowsChunk(const float* const a_chunks[kGemmMr],
 }  // namespace
 
 void GemmNNScalar(const float* a, const float* b, float* c, int m, int k,
-                  int n, int row_begin, int row_end) {
+                  int n) {
   for (int kc = 0; kc < k; kc += kGemmKc) {
     const int klen = std::min(k, kc + kGemmKc) - kc;
     const float* bchunk = b + static_cast<int64_t>(kc) * n;
-    int i = row_begin;
-    for (; i + kGemmMr <= row_end; i += kGemmMr) {
+    int i = 0;
+    for (; i + kGemmMr <= m; i += kGemmMr) {
       const float* a_chunks[kGemmMr];
       float* c_rows[kGemmMr];
       for (int r = 0; r < kGemmMr; ++r) {
@@ -62,7 +62,7 @@ void GemmNNScalar(const float* a, const float* b, float* c, int m, int k,
       }
       MicroKernelRowsChunk(a_chunks, bchunk, c_rows, klen, n);
     }
-    for (; i < row_end; ++i) {
+    for (; i < m; ++i) {
       AxpyRowChunk(a + static_cast<int64_t>(i) * k + kc, bchunk,
                    c + static_cast<int64_t>(i) * n, klen, n);
     }
@@ -70,7 +70,7 @@ void GemmNNScalar(const float* a, const float* b, float* c, int m, int k,
 }
 
 void GemmTNScalar(const float* a, const float* b, float* c, int m, int k,
-                  int n, int row_begin, int row_end) {
+                  int n) {
   // A is [k, m] and read column-wise (stride m): pack each micro-panel of up
   // to kGemmMr columns x kGemmKc k-entries into contiguous scratch so the
   // inner loop matches the NN kernel exactly. Packing copies values without
@@ -79,8 +79,8 @@ void GemmTNScalar(const float* a, const float* b, float* c, int m, int k,
   for (int kc = 0; kc < k; kc += kGemmKc) {
     const int klen = std::min(k, kc + kGemmKc) - kc;
     const float* bchunk = b + static_cast<int64_t>(kc) * n;
-    for (int i = row_begin; i < row_end; i += kGemmMr) {
-      const int rows = std::min(kGemmMr, row_end - i);
+    for (int i = 0; i < m; i += kGemmMr) {
+      const int rows = std::min(kGemmMr, m - i);
       for (int t = 0; t < klen; ++t) {
         const float* asrc = a + static_cast<int64_t>(kc + t) * m + i;
         for (int r = 0; r < rows; ++r) {
@@ -106,7 +106,7 @@ void GemmTNScalar(const float* a, const float* b, float* c, int m, int k,
 }
 
 void GemmNTScalar(const float* a, const float* b, float* c, int m, int k,
-                  int n, int row_begin, int row_end) {
+                  int n) {
   // Dot-product form: the canonical lane-split order, emulated in plain
   // scalar code. Within each k chunk, chunk-local index t feeds lane
   // (t % kGemmLanes) — the same per-lane add sequence a width-8 SIMD loop
@@ -115,7 +115,7 @@ void GemmNTScalar(const float* a, const float* b, float* c, int m, int k,
   float lanes[kGemmLanes];
   for (int kc = 0; kc < k; kc += kGemmKc) {
     const int klen = std::min(k, kc + kGemmKc) - kc;
-    for (int i = row_begin; i < row_end; ++i) {
+    for (int i = 0; i < m; ++i) {
       const float* achunk = a + static_cast<int64_t>(i) * k + kc;
       float* crow = c + static_cast<int64_t>(i) * n;
       for (int j = 0; j < n; ++j) {

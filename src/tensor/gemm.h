@@ -9,8 +9,6 @@ namespace kddn::detail {
 ///
 /// Contracts shared by every kernel here:
 ///  - C is row-major [m, n] and must be zero-initialised; kernels accumulate.
-///  - Only rows [row_begin, row_end) of C are written, so callers can split
-///    the row range across threads with no synchronisation.
 ///  - Each output element's floating-point accumulation order is a fixed
 ///    property of the *shape and matmul form* — never of the ISA, the thread
 ///    count, or the schedule. That is the repo's bitwise-determinism contract
@@ -62,7 +60,7 @@ inline float TreeReduce8(const float lanes[kGemmLanes]) {
 }
 
 using GemmFn = void (*)(const float* a, const float* b, float* c, int m,
-                        int k, int n, int row_begin, int row_end);
+                        int k, int n);
 
 /// Scalar lane-faithful reference kernels: plain C++ implementations of the
 /// canonical order above. Production fallback on hosts without a compiled
@@ -71,15 +69,15 @@ using GemmFn = void (*)(const float* a, const float* b, float* c, int m,
 
 /// C[i,j] += sum_k A[i,k] * B[k,j].  A: [m,k], B: [k,n].
 void GemmNNScalar(const float* a, const float* b, float* c, int m, int k,
-                  int n, int row_begin, int row_end);
+                  int n);
 
 /// C[i,j] += sum_k A[k,i] * B[k,j].  A: [k,m], B: [k,n] (A read transposed).
 void GemmTNScalar(const float* a, const float* b, float* c, int m, int k,
-                  int n, int row_begin, int row_end);
+                  int n);
 
 /// C[i,j] += sum_k A[i,k] * B[j,k].  A: [m,k], B: [n,k] (B read transposed).
 void GemmNTScalar(const float* a, const float* b, float* c, int m, int k,
-                  int n, int row_begin, int row_end);
+                  int n);
 
 /// One ISA's kernel set plus the name it reports through `GET /v1/stats` and
 /// the microbench JSON.

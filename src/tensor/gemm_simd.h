@@ -107,13 +107,12 @@ struct SimdGemm {
   }
 
   static void GemmNN(const float* a, const float* b, float* c, int m, int k,
-                     int n, int row_begin, int row_end) {
-    (void)m;
+                     int n) {
     for (int kc = 0; kc < k; kc += kGemmKc) {
       const int klen = std::min(k, kc + kGemmKc) - kc;
       const float* bchunk = b + static_cast<int64_t>(kc) * n;
-      int i = row_begin;
-      for (; i + kGemmMr <= row_end; i += kGemmMr) {
+      int i = 0;
+      for (; i + kGemmMr <= m; i += kGemmMr) {
         const float* a_chunks[kGemmMr];
         float* c_rows[kGemmMr];
         for (int r = 0; r < kGemmMr; ++r) {
@@ -122,7 +121,7 @@ struct SimdGemm {
         }
         MicroTileRows(a_chunks, bchunk, c_rows, klen, n);
       }
-      for (; i < row_end; ++i) {
+      for (; i < m; ++i) {
         MicroRow(a + static_cast<int64_t>(i) * k + kc, bchunk,
                  c + static_cast<int64_t>(i) * n, klen, n);
       }
@@ -130,15 +129,15 @@ struct SimdGemm {
   }
 
   static void GemmTN(const float* a, const float* b, float* c, int m, int k,
-                     int n, int row_begin, int row_end) {
+                     int n) {
     // Same packed-panel schedule as the scalar reference: packing copies
     // values without arithmetic, then the NN micro-kernels run on the panel.
     float panel[kGemmMr * kGemmKc];
     for (int kc = 0; kc < k; kc += kGemmKc) {
       const int klen = std::min(k, kc + kGemmKc) - kc;
       const float* bchunk = b + static_cast<int64_t>(kc) * n;
-      for (int i = row_begin; i < row_end; i += kGemmMr) {
-        const int rows = std::min(kGemmMr, row_end - i);
+      for (int i = 0; i < m; i += kGemmMr) {
+        const int rows = std::min(kGemmMr, m - i);
         for (int t = 0; t < klen; ++t) {
           const float* asrc = a + static_cast<int64_t>(kc + t) * m + i;
           for (int r = 0; r < rows; ++r) {
@@ -185,11 +184,10 @@ struct SimdGemm {
   }
 
   static void GemmNT(const float* a, const float* b, float* c, int m, int k,
-                     int n, int row_begin, int row_end) {
-    (void)m;
+                     int n) {
     for (int kc = 0; kc < k; kc += kGemmKc) {
       const int klen = std::min(k, kc + kGemmKc) - kc;
-      for (int i = row_begin; i < row_end; ++i) {
+      for (int i = 0; i < m; ++i) {
         const float* achunk = a + static_cast<int64_t>(i) * k + kc;
         float* crow = c + static_cast<int64_t>(i) * n;
         int j = 0;

@@ -209,7 +209,7 @@ TEST_F(HotSwapTest, CorruptedCandidateIsRefusedByTheChecksumStage) {
   SnapshotRegistry registry(&engine);
 
   FrozenModel corrupt = *World().frozen_b;
-  corrupt.CorruptBlobForTest(3);
+  corrupt.CorruptWeightForTest(3);
   ASSERT_FALSE(corrupt.VerifyChecksum());
   const uint64_t fp = registry.Add(std::move(corrupt));
 
@@ -377,7 +377,7 @@ TEST_F(HotSwapTest, LiveLoadSwapIsZeroDowntimeWithConsistentScores) {
   // golden impostor (C's weights shipping B's reference scores) are both
   // refused with 409 and the active snapshot never changes.
   FrozenModel corrupt_c = *world.frozen_c;
-  corrupt_c.CorruptBlobForTest(7);
+  corrupt_c.CorruptWeightForTest(7);
   const uint64_t fp_c = registry.Add(std::move(corrupt_c));
   const std::string swap_c =
       "{\"fingerprint\": \"" + serve::FingerprintToHex(fp_c) + "\"}";

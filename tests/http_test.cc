@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <map>
@@ -32,6 +33,19 @@
 #include "serve/load_gen.h"
 
 namespace kddn {
+namespace serve {
+
+/// Reaches into HttpServer to substitute its activity clock (before Start()).
+class HttpServerTestPeer {
+ public:
+  static void UseClock(HttpServer* server,
+                       std::chrono::steady_clock::time_point (*now)()) {
+    server->now_ = now;
+  }
+};
+
+}  // namespace serve
+
 namespace {
 
 using serve::HttpParser;
@@ -570,27 +584,42 @@ TEST(HttpServerTest, StatsAndHealthzCarryLifecycleFields) {
   server.Stop();
 }
 
+/// The idle-reap test's clock: milliseconds the test has advanced it by.
+std::atomic<int64_t> g_manual_clock_ms{0};
+
+std::chrono::steady_clock::time_point ManualNow() {
+  return std::chrono::steady_clock::time_point(
+      std::chrono::milliseconds(g_manual_clock_ms.load()));
+}
+
 TEST(HttpServerTest, IdleConnectionsAreReapedActiveOnesAreNot) {
   serve::InferenceEngine engine(World().frozen.get(), WorldPipeline());
   serve::HttpServerOptions options;
   options.idle_timeout_ms = 100;
   serve::HttpServer server(&engine, options);
+  // Connection ages are read off a clock only this test advances, so how
+  // long a request takes on a loaded host cannot age a connection.
+  g_manual_clock_ms.store(0);
+  serve::HttpServerTestPeer::UseClock(&server, &ManualNow);
   server.Start();
   const std::string note = serve::BuildNotePool(41, 1)[0];
 
-  // One connection goes quiet after connecting; one keeps a request/response
-  // cadence well inside the timeout.
+  // One connection goes quiet after connecting; one sends a request every
+  // 50 ms of clock time, half the timeout. Both are accepted at time 0: the
+  // idle peer is ahead of the active one in the accept queue, and the active
+  // one is served before the clock first moves.
   net::ScopedFd idle_fd(net::ConnectTcp("127.0.0.1", server.port()));
   net::ScopedFd active_fd(net::ConnectTcp("127.0.0.1", server.port()));
   for (int i = 0; i < 6; ++i) {
     serve::RequestOutcome outcome;
     ASSERT_TRUE(serve::ScoreOverHttp(active_fd.get(), note, &outcome)) << i;
     EXPECT_EQ(outcome.status, 200) << i;
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    g_manual_clock_ms.fetch_add(50);
   }
 
-  // By now (~300ms) the idle peer must have been closed by the reaper: its
-  // socket reads EOF without us ever sending a byte.
+  // At 300 ms the idle peer is past the timeout, so the reaper has closed it
+  // (or will on its next tick): its socket reads EOF without us ever sending
+  // a byte.
   struct pollfd poller = {idle_fd.get(), POLLIN, 0};
   ASSERT_GT(::poll(&poller, 1, 5000), 0) << "idle connection never reaped";
   char byte = 0;
@@ -602,7 +631,7 @@ TEST(HttpServerTest, IdleConnectionsAreReapedActiveOnesAreNot) {
   EXPECT_EQ(outcome.status, 200);
 
   const serve::HttpServerStatsSnapshot stats = server.stats();
-  EXPECT_GE(stats.closed_idle, 1);
+  EXPECT_EQ(stats.closed_idle, 1);
   // The reap is an orderly close, not a protocol failure.
   EXPECT_EQ(stats.dropped_connections, 0);
   server.Stop();

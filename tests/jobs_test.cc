@@ -2,16 +2,22 @@
 // half: dependency-order and exactly-once guarantees on diamond/fan-in
 // shapes, cycle detection, steal-storm stress with deliberately unbalanced
 // job durations, graph reuse across many generations, exception transport
-// (and reusability after a failed run), nested-run inlining, the
-// work-stealing ParallelForBlocked, and the generation tag on trace spans.
+// (and reusability after a failed run), nested-run inlining, the size-1
+// inline executor, in-place resizing, concurrent runs from two threads
+// sharing the lanes, the block fan-out ParallelForBlocked, and the
+// generation tag on trace spans.
 // The training-side half of the label — executor-vs-legacy bitwise weight
 // goldens and the mid-run checkpoint/resume golden — lives in
 // pipeline_test.cc, which is also labelled `jobs`. The whole label is
 // `sanitize`-labelled and must stay TSan-clean.
 #include <array>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/check.h"
@@ -111,8 +117,8 @@ TEST(JobGraphTest, BuildTimeMisuseIsLoud) {
   EXPECT_THROW(graph.Finalize(), KddnError);           // Double Finalize.
   jobs::JobGraph unfinalized;
   unfinalized.AddJob("a", {});
-  jobs::JobExecutor executor(&GlobalThreadPool());
-  EXPECT_THROW(executor.Run(&unfinalized), KddnError);  // Run pre-Finalize.
+  EXPECT_THROW(jobs::GlobalExecutor().Run(&unfinalized),
+               KddnError);  // Run pre-Finalize.
 }
 
 // ---------------------------------------------------------------------------
@@ -134,7 +140,7 @@ TEST(JobExecutorTest, DiamondRespectsDependencyOrderAtEveryPoolSize) {
     graph.AddEdge(b, d);
     graph.AddEdge(c, d);
     graph.Finalize();
-    jobs::JobExecutor(&GlobalThreadPool()).Run(&graph);
+    jobs::GlobalExecutor().Run(&graph);
     const std::string tag = "pool=" + std::to_string(pool_size);
     for (int j = 0; j < 4; ++j) {
       EXPECT_GT(board.At(j), 0u) << tag << " job " << j << " never ran";
@@ -165,7 +171,7 @@ TEST(JobExecutorTest, FanInSinkRunsOnceAfterAllPredecessors) {
     graph.AddEdge(source, sink);
   }
   graph.Finalize();
-  jobs::JobExecutor(&GlobalThreadPool()).Run(&graph);
+  jobs::GlobalExecutor().Run(&graph);
   EXPECT_EQ(sink_runs.load(), 1);
   for (int i = 0; i < kSources; ++i) {
     EXPECT_LT(board.At(i), board.At(kSources)) << "source " << i;
@@ -213,7 +219,7 @@ TEST(JobExecutorTest, StealStormRunsEveryJobExactlyOncePerRun) {
   }
   graph.Finalize();
 
-  jobs::JobExecutor executor(&GlobalThreadPool());
+  jobs::JobExecutor& executor = jobs::GlobalExecutor();
   for (int run = 1; run <= kRuns; ++run) {
     executor.Run(&graph);
     for (int j = 0; j < kJobs; ++j) {
@@ -243,7 +249,7 @@ TEST(JobExecutorTest, GraphReuseAcrossManyGenerationsAccumulatesExactly) {
   graph.AddEdge(add1, add10);
   graph.AddEdge(add10, add100);
   graph.Finalize();
-  jobs::JobExecutor executor(&GlobalThreadPool());
+  jobs::JobExecutor& executor = jobs::GlobalExecutor();
   for (int i = 0; i < 100; ++i) {
     executor.Run(&graph);
   }
@@ -271,7 +277,7 @@ TEST(JobExecutorTest, ExceptionPropagatesAndGraphStaysReusable) {
         "tail", [&] { tail_runs.fetch_add(1, std::memory_order_relaxed); });
     graph.AddEdge(boom, tail);
     graph.Finalize();
-    jobs::JobExecutor executor(&GlobalThreadPool());
+    jobs::JobExecutor& executor = jobs::GlobalExecutor();
     EXPECT_THROW(executor.Run(&graph), KddnError);
     // A failed run is cancelled, not counted: successors of the failing job
     // are skipped and the generation stays put.
@@ -286,7 +292,7 @@ TEST(JobExecutorTest, ExceptionPropagatesAndGraphStaysReusable) {
 }
 
 // ---------------------------------------------------------------------------
-// Nesting: job bodies may use the pool (or another graph) — it inlines.
+// Nesting: job bodies may fan out (or run another graph) — it inlines.
 // ---------------------------------------------------------------------------
 
 TEST(JobExecutorTest, NestedParallelismInsideJobBodiesInlinesWithoutDeadlock) {
@@ -301,16 +307,17 @@ TEST(JobExecutorTest, NestedParallelismInsideJobBodiesInlinesWithoutDeadlock) {
     g.AddJob("inner", [&] { nested_sum.fetch_add(1); });
     g.Finalize();
     graph.AddJob("outer", [&] {
-      // Nested fork/join region: must inline on the executor lane (a lane
-      // blocking on pool sub-tasks could deadlock the run).
-      GlobalThreadPool().ParallelFor(
-          16, [&](int64_t) { nested_sum.fetch_add(1); });
+      // Nested block fan-out: must inline on the executor lane (a lane
+      // sleeping on its run's ready jobs could otherwise stall the run).
+      jobs::GlobalExecutor().ParallelForBlocked(
+          "inner.blocks", 16, 1,
+          [&](int64_t begin, int64_t end) { nested_sum.fetch_add(end - begin); });
       // Nested executor run: takes the inline path for the same reason.
-      jobs::JobExecutor(&GlobalThreadPool()).Run(&g);
+      jobs::GlobalExecutor().Run(&g);
     });
   }
   graph.Finalize();
-  jobs::JobExecutor(&GlobalThreadPool()).Run(&graph);
+  jobs::GlobalExecutor().Run(&graph);
   EXPECT_EQ(nested_sum.load(), 8 * 16 + 8);
   for (const jobs::JobGraph& g : inner) {
     EXPECT_EQ(g.generation(), 1u);
@@ -329,29 +336,26 @@ TEST(JobExecutorTest, ParallelForBlockedCoversEveryIndexExactlyOnce) {
   };
   for (const int pool_size : {1, 2, 4}) {
     SetGlobalThreadPoolSize(pool_size);
-    jobs::JobExecutor executor(&GlobalThreadPool());
-    // Empty and negative ranges make no call.
-    std::atomic<int> calls{0};
-    for (const int64_t count : {int64_t{0}, int64_t{-3}}) {
-      executor.ParallelForBlocked(count, 8,
-                                  [&](int64_t, int64_t) { ++calls; });
-    }
-    EXPECT_EQ(calls.load(), 0) << "pool=" << pool_size;
+    jobs::JobExecutor& executor = jobs::GlobalExecutor();
     for (const Case c : {Case{1, 1}, Case{7, 1}, Case{64, 1}, Case{1000, 1},
                          Case{1001, 7}}) {
       std::vector<std::atomic<int>> touched(static_cast<size_t>(c.count));
       for (auto& t : touched) {
         t.store(0, std::memory_order_relaxed);
       }
-      std::atomic<int> unmarked_blocks{0};
+      std::atomic<int> escaped_blocks{0};
       executor.ParallelForBlocked(
-          c.count, c.min_block, [&](int64_t begin, int64_t end) {
+          "test.block", c.count, c.min_block, [&](int64_t begin, int64_t end) {
             ASSERT_LT(begin, end);
-            // Every lane, the calling thread's included, runs as a worker,
-            // so parallel regions nested in a block run inline.
-            if (!ThreadPool::InWorker()) {
-              unmarked_blocks.fetch_add(1, std::memory_order_relaxed);
-            }
+            // Every lane, the calling thread's included, runs its blocks as
+            // job bodies, so a fan-out nested in a block runs inline.
+            const std::thread::id self = std::this_thread::get_id();
+            executor.ParallelForBlocked(
+                "test.nested", 8, 1, [&](int64_t, int64_t) {
+                  if (std::this_thread::get_id() != self) {
+                    escaped_blocks.fetch_add(1, std::memory_order_relaxed);
+                  }
+                });
             SpinFor(Mix(static_cast<uint64_t>(begin)) % 3000);
             for (int64_t i = begin; i < end; ++i) {
               touched[static_cast<size_t>(i)].fetch_add(
@@ -363,14 +367,12 @@ TEST(JobExecutorTest, ParallelForBlockedCoversEveryIndexExactlyOnce) {
             << "pool=" << pool_size << " count=" << c.count
             << " min_block=" << c.min_block << " index " << i;
       }
-      if (pool_size > 1 && c.count > c.min_block) {
-        EXPECT_EQ(unmarked_blocks.load(), 0)
-            << "pool=" << pool_size << " count=" << c.count;
-      }
+      EXPECT_EQ(escaped_blocks.load(), 0)
+          << "pool=" << pool_size << " count=" << c.count;
     }
     // Exceptions come back to the caller, whole and first-wins.
     EXPECT_THROW(executor.ParallelForBlocked(
-                     100, 1,
+                     "test.block", 100, 1,
                      [&](int64_t begin, int64_t) {
                        if (begin == 0) {
                          KDDN_CHECK(false) << "injected block failure";
@@ -378,6 +380,187 @@ TEST(JobExecutorTest, ParallelForBlockedCoversEveryIndexExactlyOnce) {
                      }),
                  KddnError);
   }
+}
+
+// ---------------------------------------------------------------------------
+// The executor's own contract: ranges, size 1, exceptions, nesting, resize.
+// ---------------------------------------------------------------------------
+
+TEST(JobExecutorTest, EmptyAndNegativeRangesMakeNoCall) {
+  jobs::JobExecutor executor(4);
+  int calls = 0;
+  for (const int64_t count : {int64_t{0}, int64_t{-3}}) {
+    executor.ParallelForBlocked("test.block", count, 8,
+                                [&](int64_t, int64_t) { ++calls; });
+  }
+  EXPECT_EQ(calls, 0);
+  // An empty graph runs (its generation counts) without touching a lane.
+  jobs::JobGraph empty;
+  empty.Finalize();
+  executor.Run(&empty);
+  EXPECT_EQ(empty.generation(), 1u);
+}
+
+TEST(JobExecutorTest, SingleLaneExecutorRunsInline) {
+  jobs::JobExecutor executor(1);
+  EXPECT_EQ(executor.num_lanes(), 1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> order;
+  bool all_on_caller = true;
+  jobs::JobGraph graph;
+  for (int i = 0; i < 17; ++i) {
+    graph.AddJob("inline", [&, i] {
+      order.push_back(i);
+      all_on_caller = all_on_caller && std::this_thread::get_id() == caller;
+    });
+  }
+  graph.Finalize();
+  executor.Run(&graph);
+  // No lane threads: the caller runs the canonical topological order.
+  std::vector<int> expected(17);
+  for (int i = 0; i < 17; ++i) {
+    expected[i] = i;
+  }
+  EXPECT_EQ(order, expected);
+  EXPECT_TRUE(all_on_caller);
+}
+
+TEST(JobExecutorTest, FirstExceptionReachesCaller) {
+  jobs::JobExecutor executor(4);
+  std::atomic<int> ran{0};
+  EXPECT_THROW(executor.ParallelForBlocked(
+                   "test.block", 64, 1,
+                   [&](int64_t begin, int64_t end) {
+                     for (int64_t i = begin; i < end; ++i) {
+                       ran.fetch_add(1, std::memory_order_relaxed);
+                       if (i == 13) {
+                         KDDN_CHECK(false) << "boom at " << i;
+                       }
+                     }
+                   }),
+               KddnError);
+  // Cancellation is cooperative: blocks not yet started are skipped.
+  EXPECT_GE(ran.load(), 1);
+  EXPECT_LE(ran.load(), 64);
+  // The executor is still whole: the next fan-out covers its range.
+  std::atomic<int> after{0};
+  executor.ParallelForBlocked("test.block", 64, 1,
+                              [&](int64_t begin, int64_t end) {
+                                after.fetch_add(static_cast<int>(end - begin));
+                              });
+  EXPECT_EQ(after.load(), 64);
+}
+
+TEST(JobExecutorTest, NestedFanOutRunsInlineOnItsLane) {
+  // A job body that starts a nested fan-out must not wait on the executor it
+  // occupies; the nested blocks run on that body's own thread.
+  jobs::JobExecutor executor(4);
+  std::atomic<int> inner_total{0};
+  std::atomic<int> escaped{0};
+  executor.ParallelForBlocked("test.outer", 8, 1, [&](int64_t, int64_t) {
+    const std::thread::id self = std::this_thread::get_id();
+    executor.ParallelForBlocked("test.inner", 5, 1,
+                                [&](int64_t begin, int64_t end) {
+                                  if (std::this_thread::get_id() != self) {
+                                    escaped.fetch_add(1);
+                                  }
+                                  inner_total.fetch_add(
+                                      static_cast<int>(end - begin));
+                                });
+  });
+  EXPECT_EQ(inner_total.load(), 8 * 5);
+  EXPECT_EQ(escaped.load(), 0);
+}
+
+TEST(JobExecutorTest, GlobalResizeRoundTripsInPlace) {
+  PoolSizeGuard guard;
+  jobs::JobExecutor* const global = &jobs::GlobalExecutor();
+  SetGlobalThreadPoolSize(3);
+  EXPECT_EQ(GlobalThreadPoolSize(), 3);
+  EXPECT_EQ(global->num_lanes(), 3);
+  EXPECT_EQ(&jobs::GlobalExecutor(), global);  // Resized, not replaced.
+  SetGlobalThreadPoolSize(0);  // Restore the hardware default.
+  EXPECT_GE(GlobalThreadPoolSize(), 1);
+  // Still runs after the round trip.
+  std::atomic<int> covered{0};
+  global->ParallelForBlocked("test.block", 100, 1,
+                             [&](int64_t begin, int64_t end) {
+                               covered.fetch_add(static_cast<int>(end - begin));
+                             });
+  EXPECT_EQ(covered.load(), 100);
+}
+
+// ---------------------------------------------------------------------------
+// Concurrent runs share the lanes: a caller never waits for one to free up.
+// ---------------------------------------------------------------------------
+
+TEST(JobExecutorTest, ConcurrentRunFinishesWhileAnotherHoldsEveryLane) {
+  PoolSizeGuard guard;
+  SetGlobalThreadPoolSize(4);
+  constexpr int kLanes = 4;
+  constexpr int kSecondJobs = 16;
+  constexpr auto kPatience = std::chrono::seconds(20);
+  std::mutex mu;
+  std::condition_variable cv;
+  int first_started = 0;
+  bool second_done = false;
+  bool first_timed_out = false;
+
+  // The first graph (think: the engine batcher) parks one job per lane until
+  // the second thread's run has returned, so every lane is held by it.
+  jobs::JobGraph first;
+  for (int i = 0; i < kLanes; ++i) {
+    first.AddJob("test.hold_lane", [&] {
+      std::unique_lock<std::mutex> lock(mu);
+      ++first_started;
+      cv.notify_all();
+      if (!cv.wait_for(lock, kPatience, [&] { return second_done; })) {
+        first_timed_out = true;
+      }
+    });
+  }
+  first.Finalize();
+  // The second graph (think: the reactor's swap gate) runs while no lane is
+  // free: its caller must finish it alone.
+  std::atomic<int> second_runs{0};
+  std::atomic<int> second_off_caller{0};
+  std::thread::id second_caller;
+  jobs::JobGraph second;
+  for (int i = 0; i < kSecondJobs; ++i) {
+    second.AddJob("test.gate", [&] {
+      second_runs.fetch_add(1);
+      if (std::this_thread::get_id() != second_caller) {
+        second_off_caller.fetch_add(1);
+      }
+    });
+  }
+  second.Finalize();
+
+  std::thread first_thread([&] { jobs::GlobalExecutor().Run(&first); });
+  bool all_lanes_held = false;
+  std::thread second_thread([&] {
+    second_caller = std::this_thread::get_id();
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      all_lanes_held = cv.wait_for(
+          lock, kPatience, [&] { return first_started == kLanes; });
+    }
+    jobs::GlobalExecutor().Run(&second);
+    std::lock_guard<std::mutex> lock(mu);
+    second_done = true;
+    cv.notify_all();
+  });
+  second_thread.join();
+  first_thread.join();
+
+  EXPECT_TRUE(all_lanes_held);
+  EXPECT_FALSE(first_timed_out) << "the second run never finished";
+  EXPECT_EQ(second_runs.load(), kSecondJobs);
+  // Every lane was parked in the first graph, so the second ran on its
+  // caller alone.
+  EXPECT_EQ(second_off_caller.load(), 0);
+  EXPECT_EQ(first.generation(), 1u);
+  EXPECT_EQ(second.generation(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -394,7 +577,7 @@ TEST(JobsTraceTest, JobSpansCarryGraphGenerationArg) {
   const jobs::JobId b = graph.AddJob("jobs.test.beta", [] {});
   graph.AddEdge(a, b);
   graph.Finalize();
-  jobs::JobExecutor executor(&GlobalThreadPool());
+  jobs::JobExecutor& executor = jobs::GlobalExecutor();
   executor.Run(&graph);
   executor.Run(&graph);
   trace::SetEnabled(false);

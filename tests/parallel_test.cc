@@ -1,120 +1,27 @@
-// Tests for the concurrency substrate: ThreadPool semantics (zero tasks,
-// reentrancy, exception transport), bitwise serial/parallel equality of the
-// row-blocked tensor kernels, and — the load-bearing guarantee — that
-// training is bitwise reproducible at any thread count thanks to the
-// chunk-ordered gradient reduction in core::Trainer.
+// Training and evaluation at several executor sizes: the load-bearing
+// guarantee that training is bitwise reproducible at any thread count thanks
+// to the chunk-ordered gradient reduction in core::Trainer. (The executor's
+// own scheduling contract is tested in jobs_test.cc.)
 #include "common/thread_pool.h"
 
-#include <atomic>
 #include <cstring>
 #include <vector>
 
-#include "common/check.h"
-#include "common/rng.h"
 #include "core/trainer.h"
 #include "gtest/gtest.h"
 #include "kb/concept_extractor.h"
 #include "kb/knowledge_base.h"
 #include "models/bk_ddn.h"
 #include "synth/cohort.h"
-#include "tensor/tensor_ops.h"
 
 namespace kddn {
 namespace {
 
-TEST(ThreadPoolTest, ZeroAndNegativeCountsReturnImmediately) {
-  ThreadPool pool(4);
-  int calls = 0;
-  pool.ParallelFor(0, [&](int64_t) { ++calls; });
-  pool.ParallelFor(-3, [&](int64_t) { ++calls; });
-  EXPECT_EQ(calls, 0);
-}
-
-TEST(ThreadPoolTest, SingleThreadPoolRunsInline) {
-  ThreadPool pool(1);
-  EXPECT_EQ(pool.num_threads(), 1);
-  std::vector<int> hits(17, 0);
-  pool.ParallelFor(17, [&](int64_t i) { ++hits[i]; });
-  for (int h : hits) {
-    EXPECT_EQ(h, 1);
-  }
-}
-
-TEST(ThreadPoolTest, EveryIndexRunsExactlyOnce) {
-  ThreadPool pool(4);
-  constexpr int kCount = 10'000;
-  std::vector<std::atomic<int>> hits(kCount);
-  pool.ParallelFor(kCount, [&](int64_t i) {
-    hits[i].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (const auto& h : hits) {
-    EXPECT_EQ(h.load(), 1);
-  }
-}
-
-TEST(ThreadPoolTest, ReentrantParallelForRunsInlineAndDrains) {
-  // A worker that starts a nested parallel region must not deadlock waiting
-  // on the pool it occupies; the nested region serializes on that worker.
-  ThreadPool pool(4);
-  std::atomic<int> inner_total{0};
-  pool.ParallelFor(8, [&](int64_t) {
-    pool.ParallelFor(5, [&](int64_t) {
-      inner_total.fetch_add(1, std::memory_order_relaxed);
-    });
-  });
-  EXPECT_EQ(inner_total.load(), 8 * 5);
-}
-
-TEST(ThreadPoolTest, ExceptionsPropagateToCaller) {
-  ThreadPool pool(4);
-  std::atomic<int> ran{0};
-  EXPECT_THROW(
-      pool.ParallelFor(64,
-                       [&](int64_t i) {
-                         ran.fetch_add(1, std::memory_order_relaxed);
-                         if (i == 13) {
-                           KDDN_CHECK(false) << "boom at " << i;
-                         }
-                       }),
-      KddnError);
-  // Cancellation is cooperative: some iterations may be skipped, none run
-  // after the pool drained.
-  EXPECT_GE(ran.load(), 1);
-  EXPECT_LE(ran.load(), 64);
-}
-
-TEST(ThreadPoolTest, GlobalPoolResizeRoundTrip) {
-  const int original = GlobalThreadPoolSize();
-  SetGlobalThreadPoolSize(3);
-  EXPECT_EQ(GlobalThreadPoolSize(), 3);
-  SetGlobalThreadPoolSize(0);  // Restore the hardware default.
-  EXPECT_GE(GlobalThreadPoolSize(), 1);
-  SetGlobalThreadPoolSize(original);
-}
-
-/// The row-blocked parallel kernels keep each output element's accumulation
-/// order identical to the serial loops, so results must agree bitwise.
-TEST(ParallelTensorOpsTest, MatMulFamilyBitwiseEqualAcrossThreadCounts) {
-  Rng rng(77);
-  // Big enough to clear the parallel-dispatch work threshold.
-  Tensor a = RandomNormal({96, 80}, 0, 1, &rng);
-  Tensor b = RandomNormal({80, 72}, 0, 1, &rng);
-  Tensor bt = RandomNormal({72, 80}, 0, 1, &rng);
-  Tensor at = RandomNormal({80, 96}, 0, 1, &rng);
-
-  SetGlobalThreadPoolSize(1);
-  const Tensor serial_ab = MatMul(a, b);
-  const Tensor serial_abt = MatMulABt(a, bt);
-  const Tensor serial_atb = MatMulAtB(at, b);
-
-  for (int threads : {2, 4}) {
-    SetGlobalThreadPoolSize(threads);
-    EXPECT_EQ(MaxAbsDiff(MatMul(a, b), serial_ab), 0.0f) << threads;
-    EXPECT_EQ(MaxAbsDiff(MatMulABt(a, bt), serial_abt), 0.0f) << threads;
-    EXPECT_EQ(MaxAbsDiff(MatMulAtB(at, b), serial_atb), 0.0f) << threads;
-  }
-  SetGlobalThreadPoolSize(0);
-}
+/// Restores the process-wide executor size on scope exit.
+struct PoolSizeGuard {
+  int previous = GlobalThreadPoolSize();
+  ~PoolSizeGuard() { SetGlobalThreadPoolSize(previous); }
+};
 
 /// End-to-end determinism fixture: a small synthetic cohort, BK-DDN trained
 /// for 2 epochs at several thread counts, compared bitwise.
@@ -142,14 +49,15 @@ class TrainingDeterminismTest : public ::testing::Test {
     return config;
   }
 
-  /// Trains a fresh BK-DDN with `num_threads` and returns (params, auc).
+  /// Trains a fresh BK-DDN on a `num_threads`-lane global executor and
+  /// returns (params, auc).
   std::pair<std::vector<Tensor>, double> TrainOnce(int num_threads) {
+    SetGlobalThreadPoolSize(num_threads);
     models::BkDdn model(SmallModelConfig());
     core::TrainOptions options;
     options.epochs = 2;
     options.batch_size = 16;
     options.seed = 7;
-    options.num_threads = num_threads;
     core::Trainer trainer(options);
     trainer.Train(&model, dataset_.train(), dataset_.validation(),
                   synth::Horizon::kInHospital);
@@ -170,6 +78,7 @@ class TrainingDeterminismTest : public ::testing::Test {
 };
 
 TEST_F(TrainingDeterminismTest, BitwiseIdenticalParamsAtAnyThreadCount) {
+  PoolSizeGuard guard;
   const auto [base_params, base_auc] = TrainOnce(1);
   ASSERT_FALSE(base_params.empty());
   for (int threads : {2, 4}) {
@@ -189,6 +98,7 @@ TEST_F(TrainingDeterminismTest, BitwiseIdenticalParamsAtAnyThreadCount) {
 }
 
 TEST_F(TrainingDeterminismTest, ScoresIdenticalAcrossGlobalPoolSizes) {
+  PoolSizeGuard guard;
   models::BkDdn model(SmallModelConfig());
   SetGlobalThreadPoolSize(1);
   const core::Trainer::EvalMetrics serial = core::Trainer::EvaluateSplit(
@@ -200,7 +110,6 @@ TEST_F(TrainingDeterminismTest, ScoresIdenticalAcrossGlobalPoolSizes) {
     EXPECT_EQ(parallel.mean_loss, serial.mean_loss) << threads;
     EXPECT_EQ(parallel.auc, serial.auc) << threads;
   }
-  SetGlobalThreadPoolSize(0);
 }
 
 }  // namespace

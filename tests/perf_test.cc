@@ -33,10 +33,10 @@ struct GemmKernelGuard {
   ~GemmKernelGuard() { SetGemmKernel(previous); }
 };
 
-/// Restores the global thread pool size on scope exit.
-struct ThreadPoolGuard {
+/// Restores the process-wide executor size on scope exit.
+struct PoolSizeGuard {
   int previous = GlobalThreadPoolSize();
-  ~ThreadPoolGuard() { SetGlobalThreadPoolSize(previous); }
+  ~PoolSizeGuard() { SetGlobalThreadPoolSize(previous); }
 };
 
 void ExpectBitwiseEqual(const Tensor& a, const Tensor& b,
@@ -91,15 +91,14 @@ TEST(GemmKernelTest, SimdMatchesScalarReferenceAcrossShapes) {
 
 /// The lane-remainder sweep: every k tail length against kGemmLanes (1 ..
 /// 2*lanes+1), primes, and the kGemmKc chunk boundary (kc-1, kc, kc+1,
-/// 2*kc+3), at 1, 2 and 4 pool threads. The accumulation order is a property
-/// of the shape alone, so the dispatched kernel must reproduce the scalar
-/// reference bitwise at every (k, threads) point, and the reference must
-/// reproduce itself across thread counts. At m=n=64 the larger k values
-/// clear the parallel-matmul FLOP threshold, so threads>1 genuinely split
-/// the row range.
+/// 2*kc+3), at executor sizes 1, 2 and 4. The accumulation order is a
+/// property of the shape alone, so the dispatched kernel must reproduce the
+/// scalar reference bitwise at every (k, threads) point, and the reference
+/// must reproduce itself at every executor size (a GEMM runs on its caller's
+/// thread, so the size must never reach the kernels).
 TEST(GemmKernelTest, LaneRemainderSweepAcrossThreads) {
   GemmKernelGuard guard;
-  ThreadPoolGuard pool_guard;
+  PoolSizeGuard pool_guard;
   Rng rng(777);
   std::vector<int> k_extents;
   for (int k = 1; k <= 2 * detail::kGemmLanes + 1; ++k) {

@@ -259,7 +259,6 @@ class TrainingPipelineTest : public ::testing::Test {
     options.batch_size = 16;
     options.grad_chunk_size = 4;
     options.seed = 13;
-    options.num_threads = 1;
     return options;
   }
 
@@ -274,9 +273,8 @@ class TrainingPipelineTest : public ::testing::Test {
     return TrainingFingerprint(*model, recorder.points());
   }
 
-  /// The golden check: the same fingerprint at 1, 2 and 4 threads (trainer
-  /// pool and global pool alike) under both the dispatched and the scalar
-  /// GEMM.
+  /// The golden check: the same fingerprint on a 1-, 2- and 4-lane global
+  /// executor under both the dispatched and the scalar GEMM.
   void ExpectTrainingGolden(const std::string& model_name, uint64_t golden) {
     PoolSizeGuard pool_guard;
     GemmKernelGuard kernel_guard;
@@ -284,9 +282,8 @@ class TrainingPipelineTest : public ::testing::Test {
       SetGemmKernel(kernel);
       for (const int threads : {1, 2, 4}) {
         SetGlobalThreadPoolSize(threads);
-        core::TrainOptions options = BaseOptions();
-        options.num_threads = threads;
-        EXPECT_EQ(Hex(TrainFingerprint(model_name, options)), Hex(golden))
+        EXPECT_EQ(Hex(TrainFingerprint(model_name, BaseOptions())),
+                  Hex(golden))
             << model_name << " kernel=" << GemmKernelName(kernel)
             << " threads=" << threads;
       }
@@ -327,7 +324,6 @@ TEST_F(TrainingPipelineTest, ResumeMidRunWithPrefetchIsBitwiseExact) {
   PoolSizeGuard guard;
   SetGlobalThreadPoolSize(4);
   core::TrainOptions straight = BaseOptions();
-  straight.num_threads = 4;
   ASSERT_EQ(Hex(TrainFingerprint("BK-DDN", straight)), Hex(kBkDdnGolden));
 
   // Interrupted twin: stop after epoch 2, then resume to the full horizon.

@@ -4,7 +4,7 @@
 // live/peak units, and the two invariants the rest of the repo rides on —
 // a warm frozen forward / cache-warm ScoreNote performs zero tensor
 // allocations, and tracing never perturbs training determinism. The
-// concurrent-span test drives 4 pool threads, making this a sanitizer
+// concurrent-span test drives a 4-lane executor, making this a sanitizer
 // target (ctest -L sanitize).
 #include <algorithm>
 #include <cstring>
@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/alloc_tracker.h"
+#include "common/job_executor.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "core/trainer.h"
@@ -206,13 +207,18 @@ TEST(TraceTest, ConcurrentSpansFromPoolThreadsAllLand) {
   trace::SetEnabled(true);
   constexpr int64_t kItems = 512;
   {
-    ThreadPool pool(4);
-    pool.ParallelFor(kItems, [](int64_t i) {
-      KDDN_TRACE_SPAN("pool.item");
-      if (i % 64 == 0) {
-        std::this_thread::yield();
-      }
-    });
+    // The executor wraps each job body in a span named after the job.
+    jobs::JobExecutor executor(4);
+    jobs::JobGraph graph;
+    for (int64_t i = 0; i < kItems; ++i) {
+      graph.AddJob("pool.item", [i] {
+        if (i % 64 == 0) {
+          std::this_thread::yield();
+        }
+      });
+    }
+    graph.Finalize();
+    executor.Run(&graph);
   }
   trace::SetEnabled(false);
 
@@ -315,13 +321,22 @@ class TraceServingTest : public ::testing::Test {
     return a;
   }
 
-  static core::TrainOptions SmallTrainOptions() {
+  /// One small training epoch on a one-lane executor. The global size is
+  /// restored afterwards, so serving later in the same test keeps every
+  /// lane.
+  static void TrainSmall(models::NeuralDocumentModel* model) {
+    struct PoolSizeGuard {
+      int previous = GlobalThreadPoolSize();
+      ~PoolSizeGuard() { SetGlobalThreadPoolSize(previous); }
+    } guard;
+    SetGlobalThreadPoolSize(1);
     core::TrainOptions options;
     options.epochs = 1;
     options.batch_size = 16;
     options.seed = 13;
-    options.num_threads = 1;
-    return options;
+    core::Trainer(options).Train(model, assets()->dataset.train(),
+                                 assets()->dataset.validation(),
+                                 synth::Horizon::kInHospital);
   }
 };
 
@@ -335,9 +350,7 @@ TEST_F(TraceServingTest, WarmFrozenForwardPerformsZeroTensorAllocations) {
        {static_cast<models::NeuralDocumentModel*>(&bk),
         static_cast<models::NeuralDocumentModel*>(&ak)}) {
     SCOPED_TRACE(model->name());
-    core::Trainer trainer(SmallTrainOptions());
-    trainer.Train(model, a->dataset.train(), a->dataset.validation(),
-                  synth::Horizon::kInHospital);
+    TrainSmall(model);
     const serve::FrozenModel frozen = serve::FrozenModel::Freeze(*model);
 
     // Warm pass: grows every workspace buffer to the split's high-water
@@ -369,9 +382,7 @@ TEST_F(TraceServingTest, CacheWarmScoreNotePerformsZeroTensorAllocations) {
   TraceGuard guard;
   Assets* a = assets();
   models::BkDdn model(a->model_config);
-  core::Trainer trainer(SmallTrainOptions());
-  trainer.Train(&model, a->dataset.train(), a->dataset.validation(),
-                synth::Horizon::kInHospital);
+  TrainSmall(&model);
   const serve::FrozenModel frozen = serve::FrozenModel::Freeze(model);
 
   serve::NotePipeline pipeline;
@@ -411,9 +422,7 @@ TEST_F(TraceServingTest, TracingDoesNotPerturbTrainingDeterminism) {
     trace::Clear();
     trace::SetEnabled(true);
     models::BkDdn model(a->model_config);
-    core::Trainer trainer(SmallTrainOptions());
-    trainer.Train(&model, a->dataset.train(), a->dataset.validation(),
-                  synth::Horizon::kInHospital);
+    TrainSmall(&model);
     trace::SetEnabled(false);
     Run run;
     for (const ag::NodePtr& param : model.params().all()) {
