@@ -125,7 +125,6 @@ int RunSelfHostedBench(const Flags& flags) {
   pipeline.options = data_options;
   serve::EngineOptions engine_options;
   engine_options.max_batch = 16;
-  engine_options.flush_deadline_ms = 2;
   engine_options.max_queue = 128;
   engine_options.deadline_ms = 250;
   serve::InferenceEngine engine(&frozen, pipeline, engine_options);
@@ -278,7 +277,6 @@ int RunSwapBench(const Flags& flags) {
   pipeline.options = data_options;
   serve::EngineOptions engine_options;
   engine_options.max_batch = 16;
-  engine_options.flush_deadline_ms = 2;
   engine_options.max_queue = 256;
   engine_options.deadline_ms = 2000;
   // The chaos phase drives the probation budget through the extractor fault

@@ -1,5 +1,6 @@
 #include "serve/http_server.h"
 
+#include <fcntl.h>
 #include <poll.h>
 #include <unistd.h>
 
@@ -66,6 +67,12 @@ bool ConstantTimeEquals(const std::string& a, const std::string& b) {
   return diff == 0;
 }
 
+/// One byte on a non-blocking wake pipe; a full pipe already holds a wake.
+void Wake(int write_fd) {
+  const char byte = 'w';
+  [[maybe_unused]] const ssize_t n = ::write(write_fd, &byte, 1);
+}
+
 }  // namespace
 
 std::string HttpServerStatsSnapshot::ToJson() const {
@@ -102,18 +109,13 @@ HttpServer::~HttpServer() { Stop(); }
 
 void HttpServer::Start() {
   KDDN_CHECK(!running_.load()) << "HttpServer::Start on a running server";
+  int fds[2];
+  KDDN_CHECK_EQ(::pipe2(fds, O_NONBLOCK | O_CLOEXEC), 0) << "HttpServer: pipe2";
+  wake_ = std::make_shared<WakePipe>(
+      WakePipe{net::ScopedFd(fds[0]), net::ScopedFd(fds[1])});
   listen_fd_ = net::ListenTcp(options_.port);
   net::SetNonBlocking(listen_fd_);
   port_ = net::BoundPort(listen_fd_);
-  int pipe_fds[2];
-  if (::pipe(pipe_fds) != 0) {
-    net::CloseFd(listen_fd_);
-    listen_fd_ = -1;
-    throw KddnError("HttpServer: pipe() failed");
-  }
-  wake_read_fd_ = pipe_fds[0];
-  wake_write_fd_ = pipe_fds[1];
-  net::SetNonBlocking(wake_read_fd_);
   start_time_ = Clock::now();
   stop_requested_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
@@ -125,15 +127,13 @@ void HttpServer::Stop() {
     return;
   }
   stop_requested_.store(true, std::memory_order_release);
-  const char wake = 'w';
-  [[maybe_unused]] const ssize_t n = ::write(wake_write_fd_, &wake, 1);
+  Wake(wake_->write_end.get());
   if (loop_.joinable()) {
     loop_.join();
   }
   net::CloseFd(listen_fd_);
-  net::CloseFd(wake_read_fd_);
-  net::CloseFd(wake_write_fd_);
-  listen_fd_ = wake_read_fd_ = wake_write_fd_ = -1;
+  listen_fd_ = -1;
+  wake_.reset();  // Pending completions keep the pipe until they fire.
   running_.store(false, std::memory_order_release);
 }
 
@@ -143,38 +143,33 @@ HttpServerStatsSnapshot HttpServer::stats() const {
 }
 
 void HttpServer::LoopThread() {
+  // Stop() and every finished score write the wake pipe, so the timeout
+  // only paces the probation watchdog and the idle reaper (a fraction of
+  // its timeout).
+  const int timeout_ms =
+      options_.idle_timeout_ms > 0
+          ? std::clamp(options_.idle_timeout_ms / 4, 1, 200)
+          : 200;
   std::vector<pollfd> poll_fds;
   while (!stop_requested_.load(std::memory_order_acquire)) {
     poll_fds.clear();
-    poll_fds.push_back({wake_read_fd_, POLLIN, 0});
+    poll_fds.push_back({wake_->read_end.get(), POLLIN, 0});
     const bool can_accept =
         static_cast<int>(connections_.size()) < options_.max_connections;
     poll_fds.push_back(
         {can_accept ? listen_fd_ : -1, POLLIN, 0});  // fd -1: ignored.
-    bool any_awaiting = false;
     for (const auto& conn : connections_) {
       short events = POLLIN;  // Always read: EOF detection + pipelined bytes.
       if (conn->HasPendingOutput()) {
         events |= POLLOUT;
       }
-      any_awaiting = any_awaiting || conn->awaiting_score;
       poll_fds.push_back({conn->fd, events, 0});
-    }
-    // A parked score future has no fd to poll; tick fast while one is in
-    // flight so its response goes out within ~1ms of the batcher resolving
-    // it, and slow otherwise (the wake pipe covers Stop()). An enabled idle
-    // timeout caps the slow tick so the reaper's granularity stays a
-    // fraction of the timeout itself.
-    int timeout_ms = any_awaiting ? 1 : 200;
-    if (options_.idle_timeout_ms > 0) {
-      timeout_ms = std::min(
-          timeout_ms, std::max(1, options_.idle_timeout_ms / 4));
     }
     ::poll(poll_fds.data(), poll_fds.size(), timeout_ms);
 
     if ((poll_fds[0].revents & POLLIN) != 0) {
       char drain[64];
-      while (::read(wake_read_fd_, drain, sizeof(drain)) > 0) {
+      while (::read(wake_->read_end.get(), drain, sizeof(drain)) > 0) {
       }
     }
     // Only the connections that were in this poll set have valid revents;
@@ -251,7 +246,7 @@ void HttpServer::ReapIdleConnections(Clock::time_point now) {
     // A connection with work in flight is active no matter how old its last
     // byte is: a parked score future or a draining response will refresh
     // last_activity when it completes.
-    if (conn->dead || conn->awaiting_score || conn->HasPendingOutput()) {
+    if (conn->dead || conn->score_future.valid() || conn->HasPendingOutput()) {
       continue;
     }
     if (now - conn->last_activity >= limit) {
@@ -279,7 +274,8 @@ void HttpServer::ReadAndParse(Connection* conn) {
     if (status == net::IoStatus::kEof) {
       // Orderly close. Mid-request, mid-response, or mid-score it is
       // abnormal (the peer walked away from work in progress).
-      const bool mid_work = conn->awaiting_score || conn->HasPendingOutput() ||
+      const bool mid_work = conn->score_future.valid() ||
+                            conn->HasPendingOutput() ||
                             conn->parser.buffered_bytes() > 0;
       CloseConnection(conn, /*dropped=*/mid_work);
       return;
@@ -310,7 +306,7 @@ void HttpServer::Pump(Connection* conn) {
       conn->parser_status = conn->parser.Advance();
       continue;
     }
-    if (conn->awaiting_score) {
+    if (conn->score_future.valid()) {
       if (conn->score_future.wait_for(std::chrono::seconds(0)) !=
           std::future_status::ready) {
         return;
@@ -437,8 +433,8 @@ void HttpServer::HandleScore(Connection* conn, const HttpRequest& request) {
   try {
     data::Example example =
         engine_->EncodeNote(note->second.string_value, &conn->degraded);
-    conn->score_future = engine_->ScoreAsync(std::move(example));
-    conn->awaiting_score = true;
+    conn->score_future = engine_->ScoreAsync(
+        std::move(example), [wake = wake_] { Wake(wake->write_end.get()); });
   } catch (const ShedError& error) {
     // Queue-full at the door: tell the client to back off briefly.
     QueueResponse(conn, 429, ShedBody("queue-full", options_.retry_after_ms),
@@ -529,11 +525,13 @@ void HttpServer::HandleSwap(Connection* conn, const HttpRequest& request) {
 
 void HttpServer::FinishScore(Connection* conn) {
   KDDN_TRACE_SPAN("http.finish_score");
-  conn->awaiting_score = false;
+  // Shared, so this thread holds a failed score's exception until its catch
+  // block below is done reading it, whenever the batcher drops its side.
+  const std::shared_future<Scored> result = conn->score_future.share();
   try {
     // The fingerprint is the one tagged at batch execution — the snapshot
     // that actually produced this score, not whatever is active now.
-    const Scored scored = conn->score_future.get();
+    const Scored scored = result.get();
     QueueResponse(conn, 200,
                   "{\"score\": " + FloatToJson(scored.score) +
                       ", \"label\": " + (scored.score >= 0.5f ? "1" : "0") +

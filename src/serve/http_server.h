@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/net_util.h"
 #include "serve/http_parser.h"
 #include "serve/inference_engine.h"
 
@@ -72,8 +73,8 @@ struct HttpServerStatsSnapshot {
 /// -triggered — the epoll shape without the epoll fd, which loopback serving
 /// at this fan-in does not need) and never blocks on scoring. A /v1/score
 /// request is parsed, encoded, and handed to InferenceEngine::ScoreAsync;
-/// the reactor keeps serving other connections and completes the response
-/// when the batcher resolves the future.
+/// the reactor keeps serving other connections, and the finished score
+/// wakes it through its self-pipe to complete the response.
 ///
 /// Routes:
 ///   POST /v1/score       {"note": "<raw clinical note>"}
@@ -149,6 +150,13 @@ class HttpServer {
   friend class HttpServerTestPeer;
   using Clock = std::chrono::steady_clock;
 
+  /// The reactor's non-blocking self-pipe, shared with every pending score's
+  /// notifier; the last owner closes it, so no notifier writes a reused fd.
+  struct WakePipe {
+    net::ScopedFd read_end;
+    net::ScopedFd write_end;
+  };
+
   /// Per-connection reactor state. A connection handles one scoring request
   /// at a time; pipelined successors wait inside the parser buffer until the
   /// current response is fully written (responses stay in request order).
@@ -161,8 +169,7 @@ class HttpServer {
     std::string outbox;
     size_t outbox_sent = 0;
     bool close_after_write = false;
-    bool awaiting_score = false;
-    std::future<Scored> score_future;
+    std::future<Scored> score_future;  // Valid while a score is in flight.
     bool degraded = false;
     /// Last time bytes arrived or a response was queued; drives the idle
     /// reaper.
@@ -210,8 +217,7 @@ class HttpServer {
   HttpParserOptions parser_options_;
 
   int listen_fd_ = -1;
-  int wake_read_fd_ = -1;
-  int wake_write_fd_ = -1;
+  std::shared_ptr<WakePipe> wake_;
   int port_ = 0;
   std::atomic<bool> running_{false};
   std::atomic<bool> stop_requested_{false};

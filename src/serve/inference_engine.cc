@@ -60,11 +60,14 @@ InferenceEngine::InferenceEngine(const FrozenModel* model,
 
 InferenceEngine::InferenceEngine(std::shared_ptr<const FrozenModel> model,
                                  const EngineOptions& options)
-    : model_(std::move(model)), options_(options) {
+    : model_(std::move(model)),
+      options_(options),
+      deadline_shed_(std::make_exception_ptr(ShedError(
+          ShedReason::kDeadlineExceeded,
+          "request shed: queued longer than deadline_ms=" +
+              std::to_string(options.deadline_ms)))) {
   KDDN_CHECK(model_ != nullptr);
   KDDN_CHECK_GT(options_.max_batch, 0) << "max_batch must be positive";
-  KDDN_CHECK_GE(options_.flush_deadline_ms, 0)
-      << "flush_deadline_ms must be >= 0";
   KDDN_CHECK_GE(options_.cache_capacity, 0) << "cache_capacity must be >= 0";
   KDDN_CHECK_GE(options_.max_queue, 0)
       << "max_queue must be >= 0 (0 = unbounded)";
@@ -122,10 +125,14 @@ std::shared_ptr<const FrozenModel> InferenceEngine::SwapModel(
   return previous;
 }
 
-std::future<Scored> InferenceEngine::ScoreAsync(data::Example example) {
+std::future<Scored> InferenceEngine::ScoreAsync(
+    data::Example example, std::function<void()> on_done) {
   auto request = std::make_unique<Request>();
   request->example = std::move(example);
   request->enqueued = std::chrono::steady_clock::now();
+  if (on_done) {
+    request->on_done = std::move(on_done);
+  }
   std::future<Scored> future = request->promise.get_future();
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
@@ -218,19 +225,12 @@ void InferenceEngine::WorkerLoop() {
     std::vector<std::unique_ptr<Request>> expired;
     {
       std::unique_lock<std::mutex> lock(queue_mutex_);
-      queue_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+      queue_cv_.wait(lock, [this] {
+        return stopping_ || (!held_ && !queue_.empty());
+      });
       if (queue_.empty()) {
         return;  // stopping_ with a drained queue.
       }
-      // Hold the batch open until it fills or the oldest request's flush
-      // deadline passes. Shutdown flushes immediately.
-      const auto deadline =
-          queue_.front()->enqueued +
-          std::chrono::milliseconds(options_.flush_deadline_ms);
-      queue_cv_.wait_until(lock, deadline, [this] {
-        return stopping_ ||
-               static_cast<int>(queue_.size()) >= options_.max_batch;
-      });
       // Pop up to max_batch live requests; anything already past its
       // per-request deadline is set aside to be shed (it consumes no batch
       // slot — stale work must not crowd out fresh work).
@@ -250,10 +250,8 @@ void InferenceEngine::WorkerLoop() {
     }
     for (std::unique_ptr<Request>& request : expired) {
       stats_.RecordTimeout();
-      request->promise.set_exception(std::make_exception_ptr(ShedError(
-          ShedReason::kDeadlineExceeded,
-          "request shed: queued longer than deadline_ms=" +
-              std::to_string(options_.deadline_ms))));
+      request->promise.set_exception(deadline_shed_);
+      request->on_done();
     }
     if (!batch.empty()) {
       ExecuteBatch(std::move(batch));
@@ -289,50 +287,34 @@ void InferenceEngine::ExecuteBatch(
   // has already dropped it. Every result is tagged with the pinned
   // snapshot's fingerprint — not whatever is active at completion time.
   const std::shared_ptr<const FrozenModel> model = active();
-  const size_t n = batch.size();
-  std::vector<float> scores(n);
-  // Per-request score -> respond chains (DESIGN.md §14): request i's response
-  // resolves the moment its own forward finishes, while later requests are
-  // still scoring — the batch pipelines instead of barriering on its slowest
-  // member. Each score job borrows an engine-owned Workspace and writes a
-  // disjoint slot, so scores are independent of batch composition and thread
-  // count.
-  std::vector<char> responded(n, 0);
+  // One job per request (DESIGN.md §14): it borrows an engine-owned
+  // Workspace, so scores are independent of batch composition and thread
+  // count, and resolves its own promise, so a failure fails only its own.
   jobs::JobGraph graph;
-  for (size_t i = 0; i < n; ++i) {
-    const jobs::JobId score = graph.AddJob("serve.job.score", [&, i] {
-      KDDN_TRACE_SPAN("serve.score");
-      std::unique_ptr<FrozenModel::Workspace> ws = AcquireWorkspace();
-      scores[i] = model->ScorePositive(batch[i]->example, ws.get());
-      ReleaseWorkspace(std::move(ws));
+  for (std::unique_ptr<Request>& request : batch) {
+    graph.AddJob("serve.job.score", [&] {
+      try {
+        KDDN_TRACE_SPAN("serve.score");
+        KDDN_FAULT_POINT("serve.score");
+        std::unique_ptr<FrozenModel::Workspace> ws = AcquireWorkspace();
+        const float score = model->ScorePositive(request->example, ws.get());
+        ReleaseWorkspace(std::move(ws));
+        stats_.RecordRequestLatencyMs(
+            std::chrono::duration<double, std::milli>(
+                std::chrono::steady_clock::now() - request->enqueued)
+                .count());
+        request->promise.set_value(Scored{score, model->fingerprint()});
+      } catch (...) {
+        request->promise.set_exception(std::current_exception());
+      }
+      request->on_done();
     });
-    const jobs::JobId respond = graph.AddJob("serve.job.respond", [&, i] {
-      stats_.RecordRequestLatencyMs(
-          std::chrono::duration<double, std::milli>(
-              std::chrono::steady_clock::now() - batch[i]->enqueued)
-              .count());
-      batch[i]->promise.set_value(Scored{scores[i], model->fingerprint()});
-      responded[i] = 1;
-    });
-    graph.AddEdge(score, respond);
   }
   graph.Finalize();
-  // Count the batch before any respond job can resolve a promise: a client
-  // woken by its future must already see this batch in the stats.
-  stats_.RecordBatch(static_cast<int>(n));
-  try {
-    jobs::GlobalExecutor().Run(&graph);
-  } catch (...) {
-    // A failed run cancels the remaining job bodies, so some respond jobs
-    // may not have fired: every promise still unfulfilled gets the error —
-    // no client blocks forever on a dead batch.
-    const std::exception_ptr error = std::current_exception();
-    for (size_t i = 0; i < n; ++i) {
-      if (!responded[i]) {
-        batch[i]->promise.set_exception(error);
-      }
-    }
-  }
+  // Count the batch before any job can resolve a promise: a client woken by
+  // its future must already see this batch in the stats.
+  stats_.RecordBatch(static_cast<int>(batch.size()));
+  jobs::GlobalExecutor().Run(&graph);
 }
 
 }  // namespace kddn::serve

@@ -4,6 +4,8 @@
 #include <chrono>
 #include <condition_variable>
 #include <deque>
+#include <exception>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -28,11 +30,9 @@ namespace kddn::serve {
 /// negative deadlines, negative capacities) throw KddnError immediately
 /// instead of misbehaving under load.
 struct EngineOptions {
-  /// A batch flushes as soon as this many requests are queued...
+  /// Most requests one batch takes off the queue; the batcher never waits
+  /// for a batch to fill.
   int max_batch = 16;
-  /// ...or when the oldest queued request has waited this long, whichever
-  /// comes first. 0 flushes every request immediately (batch size 1).
-  int flush_deadline_ms = 2;
   /// Concept-extraction LRU entries (ScoreNote path); 0 disables the cache.
   int cache_capacity = 1024;
   /// Admission control: maximum requests waiting in the queue. An arrival
@@ -103,10 +103,10 @@ struct NotePipeline {
 };
 
 /// Batched, thread-safe serving front-end over a FrozenModel. Requests from
-/// any number of client threads queue on an internal worker; the worker
-/// flushes a batch when `max_batch` requests are waiting or the oldest has
-/// aged past `flush_deadline_ms`, and executes the batch as one fan-out on
-/// the process-wide job executor (engine-owned Workspaces, disjoint outputs).
+/// any number of client threads queue on an internal worker; whenever it is
+/// free the worker takes whatever is queued, up to `max_batch`, and runs one
+/// job per request on the process-wide job executor (engine-owned
+/// Workspaces, disjoint outputs).
 ///
 /// Scores are bitwise identical to the single-example autograd path for
 /// every batch composition and thread count — batching changes scheduling,
@@ -159,11 +159,13 @@ class InferenceEngine {
   /// (deadline exceeded) the request.
   float Score(const data::Example& example);
 
-  /// Asynchronous variant; the future resolves when the batch containing the
-  /// request executes, carrying the score and the fingerprint of the snapshot
-  /// that produced it. Throws ShedError immediately when the queue is at
-  /// max_queue; a deadline shed surfaces as ShedError on the future.
-  std::future<Scored> ScoreAsync(data::Example example);
+  /// Asynchronous variant; the future resolves when the request is scored,
+  /// carrying the score and the fingerprint of the snapshot that produced
+  /// it. Throws ShedError immediately when the queue is at max_queue; a
+  /// deadline shed or a failed score surfaces on the future. `on_done`, if
+  /// set, runs right after the future resolves, on the thread resolving it.
+  std::future<Scored> ScoreAsync(data::Example example,
+                                 std::function<void()> on_done = nullptr);
 
   /// Non-throwing variant of Score for callers that prefer branching over
   /// catching: a shed request comes back as a ScoreResult with ok() == false
@@ -219,14 +221,17 @@ class InferenceEngine {
       std::shared_ptr<const FrozenModel> model);
 
  private:
+  friend class InferenceEngineTestPeer;
+
   struct Request {
     data::Example example;
     std::promise<Scored> promise;
     std::chrono::steady_clock::time_point enqueued;
+    std::function<void()> on_done = [] {};
   };
 
   void WorkerLoop();
-  /// Scores one batch on the process-wide executor and fulfils its promises.
+  /// Scores one batch on the process-wide executor, one job per request.
   void ExecuteBatch(std::vector<std::unique_ptr<Request>> batch);
   /// Takes the most recently released Workspace (a new one if none is free)
   /// / hands one back. Workspaces belong to the engine, not to threads, so a
@@ -241,6 +246,9 @@ class InferenceEngine {
   mutable std::mutex model_mutex_;
   std::shared_ptr<const FrozenModel> model_;
   EngineOptions options_;
+  /// Every deadline shed's ShedError, built once and freed only after the
+  /// worker is joined, so no client's reason() races the free.
+  const std::exception_ptr deadline_shed_;
   bool has_pipeline_ = false;
   NotePipeline pipeline_;
   text::Lemmatizer lemmatizer_;
@@ -258,6 +266,7 @@ class InferenceEngine {
   std::condition_variable queue_cv_;
   std::deque<std::unique_ptr<Request>> queue_;
   bool stopping_ = false;
+  bool held_ = false;  // Set by InferenceEngineTestPeer: leave the queue.
   std::thread worker_;
 };
 

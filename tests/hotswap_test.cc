@@ -125,7 +125,6 @@ std::vector<float> GoldenScores(const FrozenModel& model,
 serve::EngineOptions UncachedEngineOptions() {
   serve::EngineOptions options;
   options.max_batch = 8;
-  options.flush_deadline_ms = 1;
   // No concept cache: every ScoreNote traverses serve.encode.extract, which
   // is what makes the chaos schedules below fire on deterministic hits.
   options.cache_capacity = 0;

@@ -5,11 +5,13 @@
 // checking the 429/503 shed mapping against serve::Stats, injected
 // accept/read/write faults (one connection drops, the engine is untouched),
 // and determinism tests for the load-generator request stream.
+#include <fcntl.h>
 #include <poll.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -31,16 +33,22 @@
 #include "serve/inference_engine.h"
 #include "serve/json_util.h"
 #include "serve/load_gen.h"
+#include "testing/inference_engine_test_peer.h"
 
 namespace kddn {
 namespace serve {
 
-/// Reaches into HttpServer to substitute its activity clock (before Start()).
+/// Reaches into HttpServer to substitute its activity clock (before Start())
+/// and to read its wake pipe's write end (after Start()).
 class HttpServerTestPeer {
  public:
   static void UseClock(HttpServer* server,
                        std::chrono::steady_clock::time_point (*now)()) {
     server->now_ = now;
+  }
+
+  static int WakeWriteFd(const HttpServer& server) {
+    return server.wake_->write_end.get();
   }
 };
 
@@ -50,6 +58,23 @@ namespace {
 
 using serve::HttpParser;
 using serve::HttpParserOptions;
+using serve::InferenceEngineTestPeer;
+
+/// Polls `done` until it holds, failing the test after a minute rather than
+/// hanging it. Only how long the wait lasts depends on the host's speed,
+/// never what the test then observes.
+template <typename Predicate>
+void AwaitCondition(Predicate done) {
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::minutes(1);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > give_up) {
+      ADD_FAILURE() << "condition still false after a minute";
+      return;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Shared fixture: one small dataset + briefly-trained BK-DDN + frozen
@@ -687,14 +712,15 @@ TEST(HttpServerTest, PipelinedScoresAnswerInOrder) {
 // ---------------------------------------------------------------------------
 TEST(HttpServerTest, QueueCapOverloadYields429MatchingEngineStats) {
   serve::EngineOptions engine_options;
-  engine_options.max_batch = 64;            // The batcher never fills...
-  engine_options.flush_deadline_ms = 2000;  // ...and flushes far in the
-  engine_options.max_queue = 2;             // future, so the queue holds.
+  engine_options.max_queue = 2;
   serve::InferenceEngine engine(World().frozen.get(), WorldPipeline(),
                                 engine_options);
   serve::HttpServer server(&engine);
   server.Start();
 
+  // With the batcher held, two of six simultaneous requests fill the queue
+  // and the other four are shed; releasing the hold then serves the two.
+  InferenceEngineTestPeer::Hold(&engine);
   const std::vector<std::string> notes = serve::BuildNotePool(17, 6);
   std::vector<std::string> responses(notes.size());
   std::vector<std::thread> clients;
@@ -703,6 +729,10 @@ TEST(HttpServerTest, QueueCapOverloadYields429MatchingEngineStats) {
       responses[c] = RawRoundTrip(server.port(), ScoreRequest(notes[c]));
     });
   }
+  AwaitCondition(
+      [&] { return InferenceEngineTestPeer::Queued(&engine) == 2; });
+  AwaitCondition([&] { return engine.stats().shed == 4; });
+  InferenceEngineTestPeer::Release(&engine);
   for (std::thread& client : clients) {
     client.join();
   }
@@ -723,11 +753,8 @@ TEST(HttpServerTest, QueueCapOverloadYields429MatchingEngineStats) {
       ADD_FAILURE() << "unexpected status " << status << ": " << response;
     }
   }
-  EXPECT_EQ(ok + shed, static_cast<int>(notes.size()));
-  // The queue admits exactly max_queue while the batch is held open; timing
-  // can only move requests from shed to served, never invent extras.
-  EXPECT_GE(shed, 1);
-  EXPECT_GE(ok, engine_options.max_queue);
+  EXPECT_EQ(ok, 2);
+  EXPECT_EQ(shed, 4);
 
   const serve::StatsSnapshot engine_stats = engine.stats();
   const serve::HttpServerStatsSnapshot server_stats = server.stats();
@@ -741,15 +768,24 @@ TEST(HttpServerTest, QueueCapOverloadYields429MatchingEngineStats) {
 
 TEST(HttpServerTest, DeadlineShedMapsTo503WithRetryHint) {
   serve::EngineOptions engine_options;
-  engine_options.max_batch = 64;
-  engine_options.flush_deadline_ms = 50;  // Batcher wakes at +50ms...
-  engine_options.deadline_ms = 1;         // ...when the request is stale.
+  engine_options.deadline_ms = 1;
   serve::InferenceEngine engine(World().frozen.get(), WorldPipeline(),
                                 engine_options);
   serve::HttpServer server(&engine);
   server.Start();
-  const std::string response = RawRoundTrip(
-      server.port(), ScoreRequest(serve::BuildNotePool(19, 1)[0]));
+  InferenceEngineTestPeer::Hold(&engine);
+  std::string response;
+  std::thread client([&] {
+    response = RawRoundTrip(server.port(),
+                            ScoreRequest(serve::BuildNotePool(19, 1)[0]));
+  });
+  // Outwait the deadline behind the hold: the request is stale when the
+  // batcher first sees it.
+  AwaitCondition(
+      [&] { return InferenceEngineTestPeer::Queued(&engine) == 1; });
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  InferenceEngineTestPeer::Release(&engine);
+  client.join();
   server.Stop();
 
   EXPECT_EQ(StatusOf(response), 503);
@@ -782,10 +818,60 @@ TEST(HttpServerTest, DegradedExtractionSurfacesInTheResponse) {
   server.Stop();
 }
 
+TEST(HttpServerTest, CompletionAfterStopWritesAPipeItStillHolds) {
+  auto engine = std::make_unique<serve::InferenceEngine>(
+      World().frozen.get(), WorldPipeline());
+  InferenceEngineTestPeer::Hold(engine.get());
+  auto server = std::make_unique<serve::HttpServer>(engine.get());
+  server->Start();
+  const int wake_fd = serve::HttpServerTestPeer::WakeWriteFd(*server);
+  // A client sends a score and never reads the answer.
+  net::ScopedFd client(net::ConnectTcp("127.0.0.1", server->port()));
+  const std::string request =
+      ScoreRequest(serve::BuildNotePool(53, 1)[0], /*close=*/false);
+  net::WriteAll(client.get(), request.data(), request.size());
+  AwaitCondition(
+      [&] { return InferenceEngineTestPeer::Queued(engine.get()) == 1; });
+
+  // The server goes first, as in a stack that declares the engine before
+  // the server. Nothing opens an fd from here on, so the number cannot be
+  // reused: it stays open because the queued request's notifier holds it.
+  server.reset();
+  EXPECT_NE(::fcntl(wake_fd, F_GETFD), -1) << std::strerror(errno);
+  // Joining the batcher drops the last notifier, which closes the pipe.
+  InferenceEngineTestPeer::Release(engine.get());
+  engine.reset();
+  EXPECT_EQ(::fcntl(wake_fd, F_GETFD), -1);
+  EXPECT_EQ(errno, EBADF);
+}
+
 // ---------------------------------------------------------------------------
 // Fault injection at the socket layer: one connection drops, the engine and
 // every other connection are untouched.
 // ---------------------------------------------------------------------------
+TEST(HttpFaultTest, FailedScoreAnswers500AndTheConnectionServesOn) {
+  serve::InferenceEngine engine(World().frozen.get(), WorldPipeline());
+  serve::HttpServer server(&engine);
+  server.Start();
+  const std::string note = serve::BuildNotePool(47, 1)[0];
+  const float reference = engine.ScoreNote(note);
+
+  net::ScopedFd fd(net::ConnectTcp("127.0.0.1", server.port()));
+  serve::RequestOutcome outcome;
+  {
+    FaultInjector::ScopedFault fault("serve.score");
+    ASSERT_TRUE(serve::ScoreOverHttp(fd.get(), note, &outcome));
+  }
+  EXPECT_EQ(outcome.status, 500);
+  // The same keep-alive connection scores the next request bitwise.
+  ASSERT_TRUE(serve::ScoreOverHttp(fd.get(), note, &outcome));
+  EXPECT_EQ(outcome.status, 200);
+  EXPECT_EQ(outcome.score, reference);
+  EXPECT_EQ(server.stats().responses_5xx, 1);
+  EXPECT_EQ(server.stats().dropped_connections, 0);
+  server.Stop();
+}
+
 TEST(HttpFaultTest, MidResponseWriteFaultDropsOneConnectionOnly) {
   serve::InferenceEngine engine(World().frozen.get(), WorldPipeline());
   serve::HttpServer server(&engine);
@@ -941,12 +1027,10 @@ TEST(LoadGenTest, OpenLoopModeHonoursTheSchedule) {
 }
 
 TEST(LoadGenTest, ShedRetriesAreCappedAndReportedSeparately) {
-  // The batcher is parked far in the future with a 2-slot queue, so of six
-  // simultaneous requests two are admitted and the rest draw 429s — and keep
-  // drawing them on every retry, because the queue only drains at the flush.
+  // The batcher is held with a 2-slot queue, so of six simultaneous requests
+  // two are admitted and the rest draw 429s — and keep drawing them on every
+  // retry, because the queue only drains once the hold is released.
   serve::EngineOptions engine_options;
-  engine_options.max_batch = 64;
-  engine_options.flush_deadline_ms = 2000;
   engine_options.max_queue = 2;
   serve::InferenceEngine engine(World().frozen.get(), WorldPipeline(),
                                 engine_options);
@@ -964,12 +1048,18 @@ TEST(LoadGenTest, ShedRetriesAreCappedAndReportedSeparately) {
   options.max_retries = 3;
   options.retry_backoff_ms = 2;
   options.retry_backoff_cap_ms = 16;
-  const serve::LoadGenReport report = serve::RunLoadGen(options);
+  InferenceEngineTestPeer::Hold(&engine);
+  serve::LoadGenReport report;
+  std::thread generator([&] { report = serve::RunLoadGen(options); });
+  // Four requests, each shed once and then on all three retries.
+  AwaitCondition([&] { return engine.stats().shed == 16; });
+  InferenceEngineTestPeer::Release(&engine);
+  generator.join();
   server.Stop();
 
-  // Admitted requests scored when the oldest aged past the flush deadline;
-  // shed ones exhausted their retry budget well before that. Either way
-  // every slot in the stream has a final outcome.
+  // Admitted requests scored once the hold was released; shed ones had
+  // exhausted their retry budget before that. Either way every slot in the
+  // stream has a final outcome.
   EXPECT_EQ(report.ok + report.shed_queue_full, 6);
   EXPECT_EQ(report.ok, 2);
   EXPECT_EQ(report.shed_queue_full, 4);

@@ -4,6 +4,7 @@
 // line-number diagnostics, and overload-safe serving (queue-full shedding,
 // per-request deadlines, graceful degradation). Labelled `robustness` and
 // `sanitize` — the whole suite runs under TSan.
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
@@ -12,6 +13,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -33,6 +35,7 @@
 #include "serve/stats.h"
 #include "synth/cohort.h"
 #include "synth/corpus_io.h"
+#include "testing/inference_engine_test_peer.h"
 #include "text/vocabulary.h"
 
 namespace kddn {
@@ -483,9 +486,6 @@ TEST(EngineOptionsValidationTest, InvalidOptionsThrowAtConstruction) {
   options.max_batch = 0;
   expect_throws(options);
   options = {};
-  options.flush_deadline_ms = -1;
-  expect_throws(options);
-  options = {};
   options.cache_capacity = -1;
   expect_throws(options);
   options = {};
@@ -602,13 +602,11 @@ TEST(AdmissionControlTest, BurstBeyondMaxQueueShedsAtTheDoor) {
   models::BkDdn model(TinyConfig());
   const serve::FrozenModel frozen = serve::FrozenModel::Freeze(model);
   serve::EngineOptions options;
-  options.max_batch = 64;           // Never fills from this test...
-  options.flush_deadline_ms = 1000;  // ...and the flush deadline is far off,
-                                     // so queued requests stay queued.
   options.max_queue = 3;
   std::vector<std::future<serve::Scored>> admitted;
   {
     serve::InferenceEngine engine(&frozen, options);
+    serve::InferenceEngineTestPeer::Hold(&engine);  // Queued ones stay queued.
     for (int i = 0; i < 3; ++i) {
       admitted.push_back(engine.ScoreAsync(TinyExample(i)));
     }
@@ -643,11 +641,14 @@ TEST(AdmissionControlTest, StaleRequestsTimeOutInsteadOfBurningABatchSlot) {
   models::BkDdn model(TinyConfig());
   const serve::FrozenModel frozen = serve::FrozenModel::Freeze(model);
   serve::EngineOptions options;
-  options.max_batch = 64;
-  options.flush_deadline_ms = 50;  // The batcher can only wake at +50ms...
-  options.deadline_ms = 1;         // ...by which time the request is stale.
+  options.deadline_ms = 1;
   serve::InferenceEngine engine(&frozen, options);
+  serve::InferenceEngineTestPeer::Hold(&engine);
   std::future<serve::Scored> future = engine.ScoreAsync(TinyExample());
+  // Outwait the deadline behind the hold: the request is stale when the
+  // batcher first sees it.
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  serve::InferenceEngineTestPeer::Release(&engine);
   try {
     future.get();
     FAIL() << "expected the stale request to be shed";
@@ -659,6 +660,41 @@ TEST(AdmissionControlTest, StaleRequestsTimeOutInsteadOfBurningABatchSlot) {
   EXPECT_EQ(stats.requests, 0);  // Shed requests are never scored.
   EXPECT_NE(stats.ToJson().find("\"timeouts\": 1"), std::string::npos)
       << stats.ToJson();
+}
+
+TEST(ScoreFaultTest, FailingScoreFailsOnlyItsOwnRequest) {
+  models::BkDdn model(TinyConfig());
+  const serve::FrozenModel frozen = serve::FrozenModel::Freeze(model);
+  std::vector<float> reference;
+  serve::FrozenModel::Workspace ws;
+  for (int i = 0; i < 4; ++i) {
+    reference.push_back(frozen.ScorePositive(TinyExample(i), &ws));
+  }
+  // One lane runs the batch's jobs inline in queue order, so the fault's
+  // second hit is request 1's score.
+  struct PoolSizeGuard {
+    int previous = GlobalThreadPoolSize();
+    ~PoolSizeGuard() { SetGlobalThreadPoolSize(previous); }
+  } pool_guard;
+  SetGlobalThreadPoolSize(1);
+  serve::InferenceEngine engine(&frozen);
+  serve::InferenceEngineTestPeer::Hold(&engine);
+  std::vector<std::future<serve::Scored>> futures;
+  for (int i = 0; i < 3; ++i) {
+    futures.push_back(engine.ScoreAsync(TinyExample(i)));
+  }
+  {
+    FaultInjector::ScopedFault fault("serve.score", /*fail_on_hit=*/1);
+    serve::InferenceEngineTestPeer::Release(&engine);
+    EXPECT_EQ(futures[0].get().score, reference[0]);
+    EXPECT_THROW(futures[1].get(), KddnError);
+    EXPECT_EQ(futures[2].get().score, reference[2]);
+  }
+  EXPECT_EQ(engine.stats().batch_size_histogram,
+            (std::vector<int64_t>{0, 0, 0, 1}));
+  // The engine is not poisoned: the next request scores as ever.
+  EXPECT_EQ(engine.Score(TinyExample(3)), reference[3]);
+  EXPECT_EQ(engine.stats().requests, 3);  // Scored ones; the failure is not.
 }
 
 TEST(AdmissionControlTest, StatsJsonCarriesAllRobustnessCounters) {

@@ -3,6 +3,7 @@
 // serve::InferenceEngine (run under TSan via the `sanitize` label), edge-case
 // notes through the raw-text pipeline, and unit tests for the LRU cache and
 // serving stats.
+#include <algorithm>
 #include <cmath>
 #include <future>
 #include <memory>
@@ -23,6 +24,7 @@
 #include "serve/inference_engine.h"
 #include "serve/lru_cache.h"
 #include "serve/stats.h"
+#include "testing/inference_engine_test_peer.h"
 
 namespace kddn {
 namespace {
@@ -158,21 +160,32 @@ TEST_P(GoldenPredictionTest, EngineMatchesAutogradAtEveryBatchShape) {
   const serve::FrozenModel frozen = serve::FrozenModel::Freeze(*Model());
 
   SetGlobalThreadPoolSize(Threads());
+  const int n = static_cast<int>(examples.size());
   for (int max_batch : {1, 3, 16}) {
     serve::EngineOptions options;
     options.max_batch = max_batch;
-    options.flush_deadline_ms = 1;
     serve::InferenceEngine engine(&frozen, options);
-    // Async-enqueue everything first so batches actually form, then resolve.
+    // Queue everything behind the hold, then release: the batcher takes
+    // n / max_batch full batches and one remainder batch, in queue order.
+    serve::InferenceEngineTestPeer::Hold(&engine);
     std::vector<std::future<serve::Scored>> futures;
     for (const data::Example& example : examples) {
       futures.push_back(engine.ScoreAsync(example));
     }
+    serve::InferenceEngineTestPeer::Release(&engine);
     for (size_t i = 0; i < futures.size(); ++i) {
       EXPECT_EQ(futures[i].get().score, reference[i])
           << Model()->name() << " example " << i << ", max_batch "
           << max_batch << ", " << Threads() << " threads";
     }
+    const int full = std::min(n, max_batch);
+    std::vector<int64_t> histogram(full + 1, 0);
+    histogram[full] = n / full;
+    if (n % full != 0) {
+      histogram[n % full] = 1;
+    }
+    EXPECT_EQ(engine.stats().batch_size_histogram, histogram)
+        << "max_batch " << max_batch;
   }
 }
 
@@ -194,7 +207,6 @@ TEST(InferenceEngineTest, ConcurrentClientsGetBitwiseCorrectScores) {
 
   serve::EngineOptions options;
   options.max_batch = 4;
-  options.flush_deadline_ms = 2;
   serve::InferenceEngine engine(&frozen, options);
 
   constexpr int kClients = 4;
@@ -230,13 +242,13 @@ TEST(InferenceEngineTest, DestructorDrainsPendingRequests) {
   const std::vector<data::Example> examples = GoldenExamples(4);
   std::vector<std::future<serve::Scored>> futures;
   {
-    serve::EngineOptions options;
-    options.max_batch = 64;
-    options.flush_deadline_ms = 1000;  // Only shutdown can flush these.
-    serve::InferenceEngine engine(&frozen, options);
+    serve::InferenceEngine engine(&frozen);
+    serve::InferenceEngineTestPeer::Hold(&engine);  // Only shutdown drains.
     for (const data::Example& example : examples) {
       futures.push_back(engine.ScoreAsync(example));
     }
+    ASSERT_EQ(serve::InferenceEngineTestPeer::Queued(&engine),
+              examples.size());
   }  // Destructor must score, not abandon, the queued requests.
   for (std::future<serve::Scored>& future : futures) {
     const float p = future.get().score;

@@ -390,9 +390,7 @@ TEST_F(TraceServingTest, CacheWarmScoreNotePerformsZeroTensorAllocations) {
   pipeline.concept_vocab = &a->dataset.concept_vocab();
   pipeline.extractor = &a->extractor;
   pipeline.options = a->data_options;
-  serve::EngineOptions options;
-  options.flush_deadline_ms = 0;  // Score each request immediately.
-  serve::InferenceEngine engine(&frozen, pipeline, options);
+  serve::InferenceEngine engine(&frozen, pipeline);
 
   const std::vector<std::string> notes = serve::BuildNotePool(7, 4);
   // Warm pass: fills the concept cache and the batcher thread's workspace.
